@@ -15,32 +15,38 @@ uint64_t Avalanche(uint64_t x) {
   return x;
 }
 
-uint64_t Hash64Seeded(std::string_view s, uint64_t seed) {
-  // FNV-1a style accumulation with a strong finisher per 8-byte block.
-  uint64_t h = seed ^ (s.size() * 0x100000001b3ull);
-  size_t i = 0;
-  while (i + 8 <= s.size()) {
-    uint64_t block;
-    std::memcpy(&block, s.data() + i, 8);
-    h = Avalanche(h ^ block) * 0x100000001b3ull;
-    i += 8;
-  }
-  uint64_t tail = 0;
-  size_t rem = s.size() - i;
-  if (rem > 0) {
-    std::memcpy(&tail, s.data() + i, rem);
-    h = Avalanche(h ^ tail ^ (uint64_t{rem} << 56)) * 0x100000001b3ull;
-  }
-  return Avalanche(h);
+constexpr uint64_t kFnvPrime = 0x100000001b3ull;
+
+// One FNV-1a style step with a strong finisher per 8-byte block.
+uint64_t Absorb(uint64_t h, uint64_t block) {
+  return Avalanche(h ^ block) * kFnvPrime;
 }
 
 }  // namespace
 
 Hash128 HashKey(std::string_view key) {
-  return Hash128{
-      .hi = Hash64Seeded(key, 0x243f6a8885a308d3ull),
-      .lo = Hash64Seeded(key, 0x13198a2e03707344ull),
-  };
+  // Two independently-seeded passes over the same blocks, run in one loop
+  // so their dependency chains overlap.
+  const uint64_t len_mix = key.size() * kFnvPrime;
+  uint64_t hi = 0x243f6a8885a308d3ull ^ len_mix;
+  uint64_t lo = 0x13198a2e03707344ull ^ len_mix;
+  size_t i = 0;
+  while (i + 8 <= key.size()) {
+    uint64_t block;
+    std::memcpy(&block, key.data() + i, 8);
+    hi = Absorb(hi, block);
+    lo = Absorb(lo, block);
+    i += 8;
+  }
+  const size_t rem = key.size() - i;
+  if (rem > 0) {
+    uint64_t tail = 0;
+    std::memcpy(&tail, key.data() + i, rem);
+    tail ^= uint64_t{rem} << 56;
+    hi = Absorb(hi, tail);
+    lo = Absorb(lo, tail);
+  }
+  return Hash128{.hi = Avalanche(hi), .lo = Avalanche(lo)};
 }
 
 uint64_t Mix64(uint64_t x) { return Avalanche(x + 0x9e3779b97f4a7c15ull); }

@@ -11,7 +11,9 @@
 
 namespace cm {
 
-// Incremental CRC32C (Castagnoli) computation, software table-driven.
+// Incremental CRC32C (Castagnoli) computation. Uses the x86 SSE4.2 `crc32`
+// instruction when the CPU has it (checked once at start-up) and a bytewise
+// table loop otherwise; both produce identical values.
 class Crc32c {
  public:
   Crc32c() = default;
@@ -29,6 +31,19 @@ class Crc32c {
 
 uint32_t ComputeCrc32c(ByteSpan data);
 
+namespace internal {
+
+// The two kernels behind Crc32c::Update, exposed so tests can check each one
+// whichever the CPU dispatches to. Both advance a raw (un-inverted) state.
+uint32_t Crc32cTable(uint32_t state, ByteSpan data);
+
+// True when Crc32cHardware may be called on this CPU.
+bool HasHardwareCrc32c();
+
+// Only callable when HasHardwareCrc32c().
+uint32_t Crc32cHardware(uint32_t state, ByteSpan data);
+
+}  // namespace internal
 }  // namespace cm
 
 #endif  // CM_COMMON_CHECKSUM_H_

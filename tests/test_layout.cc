@@ -65,6 +65,35 @@ TEST(DataEntry, RoundTripWithChecksum) {
   EXPECT_EQ(view->version, version);
 }
 
+// Pins the wire bytes, CRC included, so neither a different polynomial nor
+// a change in the range the CRC covers ([8, 40+key+value)) can pass. The
+// covered range is 55 bytes: six whole words plus a 7-byte tail.
+TEST(DataEntry, GoldenEncoding) {
+  const std::string key = "golden-key";
+  Bytes value;
+  for (int i = 0; i < 13; ++i) value.push_back(std::byte(0xa0 + i));
+  Bytes buf(DataEntryBytes(key.size(), value.size()));
+  EncodeDataEntry(buf, key, value,
+                  Hash128{0x0123456789abcdefull, 0xfedcba9876543210ull},
+                  VersionNumber{0x0000018c2f3e4d5bull, 7, 42});
+  const uint8_t kExpected[] = {
+      0x0a, 0x00, 0x00, 0x00, 0x0d, 0x00, 0x00, 0x00,  // key_len, value_len
+      0xef, 0xcd, 0xab, 0x89, 0x67, 0x45, 0x23, 0x01,  // keyhash.hi
+      0x10, 0x32, 0x54, 0x76, 0x98, 0xba, 0xdc, 0xfe,  // keyhash.lo
+      0x5b, 0x4d, 0x3e, 0x2f, 0x8c, 0x01, 0x00, 0x00,  // version.tt_micros
+      0x07, 0x00, 0x00, 0x00, 0x2a, 0x00, 0x00, 0x00,  // client_id, seq
+      0x67, 0x6f, 0x6c, 0x64, 0x65, 0x6e, 0x2d, 0x6b,  // "golden-k"
+      0x65, 0x79,                                      // "ey"
+      0xa0, 0xa1, 0xa2, 0xa3, 0xa4, 0xa5, 0xa6, 0xa7,  // value
+      0xa8, 0xa9, 0xaa, 0xab, 0xac,                    //
+      0x4b, 0xb1, 0xc9, 0xfa,                          // crc32c 0xfac9b14b
+  };
+  ASSERT_EQ(buf.size(), sizeof(kExpected));
+  for (size_t i = 0; i < buf.size(); ++i) {
+    EXPECT_EQ(static_cast<uint8_t>(buf[i]), kExpected[i]) << "byte " << i;
+  }
+}
+
 TEST(DataEntry, EmptyKeyAndValue) {
   Bytes buf(DataEntryBytes(0, 0));
   EncodeDataEntry(buf, "", {}, Hash128{1, 2}, VersionNumber{1, 1, 1});

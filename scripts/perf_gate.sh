@@ -10,6 +10,9 @@
 # A scalar that regresses by more than WARN_RATIO prints a warning; more
 # than FAIL_RATIO fails the gate (exit 1). Improvements are reported
 # informationally — refresh the baseline (EXPERIMENTS.md) to bank them.
+# Zero on both sides is ok; zero on exactly one side fails if the move is
+# in the worse direction (e.g. a lower-is-better count rising from 0) and
+# counts as an improvement otherwise.
 #
 # Usage: scripts/perf_gate.sh [bench-name[:scalar-regex] ...]   (default: simcore)
 #   bench-name is the suffix: `simcore` runs build/bench/bench_simcore
@@ -62,21 +65,29 @@ for spec in "${benches[@]}"; do
       --argjson warn "$WARN_RATIO" --argjson fail "$FAIL_RATIO" '
       def higher_better:
         ($key | test("per_sec|per_second|throughput|success_ratio"));
-      # ratio > 1 means "worse by that factor".
-      ( if $old == 0 or $new == 0 then 1
-        elif higher_better then $old / $new
-        else $new / $old end ) as $ratio |
-      if $ratio > $fail then "FAIL"
-      elif $ratio > $warn then "WARN"
-      elif $ratio < (1 / $warn) then "GOOD"
-      else "ok" end
-      + " " + ($ratio * 100 | round / 100 | tostring)')"
+      # A zero on exactly one side has no finite ratio: the move fails
+      # when it goes the worse way and counts as an improvement otherwise.
+      if $old == 0 and $new == 0 then "ok 1"
+      elif $old == 0 or $new == 0 then
+        if (higher_better and $new == 0) or ((higher_better | not) and $old == 0)
+        then "FAIL zero" else "GOOD zero" end
+      else
+        # ratio > 1 means "worse by that factor".
+        ( if higher_better then $old / $new else $new / $old end ) as $ratio |
+        if $ratio > $fail then "FAIL"
+        elif $ratio > $warn then "WARN"
+        elif $ratio < (1 / $warn) then "GOOD"
+        else "ok" end
+        + " " + ($ratio * 100 | round / 100 | tostring)
+      end')"
     status="${verdict%% *}"
     ratio="${verdict#* }"
     case "$status" in
       FAIL)
-        printf '  FAIL %-34s %14.4g -> %-14.4g (%sx worse)\n' \
-          "$key" "$old" "$new" "$ratio"
+        worse="${ratio}x worse"
+        [[ "$ratio" == zero ]] && worse="worse, one side zero"
+        printf '  FAIL %-34s %14.4g -> %-14.4g (%s)\n' \
+          "$key" "$old" "$new" "$worse"
         fail=1 ;;
       WARN)
         printf '  warn %-34s %14.4g -> %-14.4g (%sx worse)\n' \

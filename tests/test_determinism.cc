@@ -283,6 +283,188 @@ Capture RunReshardScenario(uint64_t seed) {
   return cap;
 }
 
+// ---------------------------------------------------------------------------
+// Read-path pins. The two scenarios above only drive single-key GET/SET over
+// SCAR with speculation, 2xR data fetches, hedges, ejection and degraded
+// reads all idle. These cells exercise every client read stage under chaos:
+// single-key Gets (some forced onto 2xR) mixed with batched MultiGets of
+// 2-8 keys, with speculation, hedged reads, slow-replica ejection and
+// degraded reads all on, and one backend erratically slow for long enough
+// to fire hedges and ejections.
+// ---------------------------------------------------------------------------
+
+// Only the first kReadPreloaded keys are preloaded: reads of the rest miss,
+// and Sets that insert them grow each backend's one-bucket index mid-run,
+// revoking the old index window under in-flight reads.
+constexpr int kReadKeys = 48;
+constexpr int kReadPreloaded = 16;
+constexpr int kReadClients = 3;
+constexpr int kReadOpsPerClient = 160;
+
+struct ReadPathCapture {
+  Capture base;
+  int64_t multigets = 0;
+  int64_t batch_slowpath_keys = 0;
+  int64_t loccache_speculative_reads = 0;
+  int64_t hedged_reads = 0;
+  int64_t slow_ejections = 0;
+  int64_t degraded_attempts = 0;
+  int64_t window_errors = 0;
+  int64_t op_timeouts = 0;
+
+  void Print(const char* label) const {
+    base.Print(label);
+    std::printf(
+        "  multigets=%lld slowpath=%lld spec_reads=%lld hedged=%lld "
+        "ejections=%lld degraded=%lld window_errors=%lld op_timeouts=%lld\n",
+        (long long)multigets, (long long)batch_slowpath_keys,
+        (long long)loccache_speculative_reads, (long long)hedged_reads,
+        (long long)slow_ejections, (long long)degraded_attempts,
+        (long long)window_errors, (long long)op_timeouts);
+  }
+
+  // The read-path counters this pin exists for, each named for messages.
+  std::vector<std::pair<const char*, int64_t>> ReadCounters() const {
+    return {{"multigets", multigets},
+            {"batch_slowpath_keys", batch_slowpath_keys},
+            {"loccache_speculative_reads", loccache_speculative_reads},
+            {"hedged_reads", hedged_reads},
+            {"slow_ejections", slow_ejections},
+            {"degraded_attempts", degraded_attempts},
+            {"window_errors", window_errors},
+            {"op_timeouts", op_timeouts}};
+  }
+};
+
+void ExpectEqual(const ReadPathCapture& got, const ReadPathCapture& want) {
+  ExpectEqual(got.base, want.base);
+  const auto g = got.ReadCounters();
+  const auto w = want.ReadCounters();
+  for (size_t i = 0; i < g.size(); ++i) {
+    EXPECT_EQ(g[i].second, w[i].second) << g[i].first;
+  }
+}
+
+sim::Task<void> ReadTraffic(sim::Simulator& sim, Client* client,
+                            uint64_t seed,
+                            std::shared_ptr<sim::Notification> loaded,
+                            std::shared_ptr<int> done) {
+  (void)co_await client->Connect();
+  co_await loaded->Wait();
+  Rng rng(seed);
+  for (int op = 0; op < kReadOpsPerClient; ++op) {
+    co_await sim.Delay(sim::Microseconds(int64_t(50 + rng.NextBounded(600))));
+    const double dice = rng.NextDouble();
+    if (dice < 0.45) {
+      GetOptions opts;
+      // A quarter of the single-key Gets take 2xR even on a SCAR cell, so
+      // both cells run the speculative data fetch and its hedge.
+      if (rng.NextBool(0.25)) opts.strategy = LookupStrategy::kTwoR;
+      (void)co_await client->Get(KeyName(int(rng.NextBounded(kReadKeys))),
+                                 opts);
+    } else if (dice < 0.75) {
+      const int n = 2 + int(rng.NextBounded(7));
+      std::vector<std::string> keys;
+      for (int i = 0; i < n; ++i) {
+        keys.push_back(KeyName(int(rng.NextBounded(kReadKeys))));
+      }
+      (void)co_await client->MultiGet(std::move(keys));
+    } else {
+      const auto fill = std::byte(uint8_t(1 + rng.NextBounded(250)));
+      (void)co_await client->Set(KeyName(int(rng.NextBounded(kReadKeys))),
+                                 Bytes(kValueBytes, fill));
+    }
+  }
+  ++*done;
+}
+
+ReadPathCapture RunReadPathScenario(TransportKind transport, uint64_t seed) {
+  sim::Simulator sim;
+  CellOptions o;
+  o.num_shards = 6;
+  o.mode = ReplicationMode::kR32;
+  o.transport = transport;
+  o.seed = seed;
+  o.backend.initial_buckets = 1;
+  Cell cell(sim, std::move(o));
+  cell.Start();
+  cell.tracer().Enable(true);
+
+  auto plan = std::make_shared<net::FaultPlan>(seed);
+  net::LinkFaultRates rates;
+  rates.drop = 0.01;
+  rates.corrupt = 0.005;
+  rates.duplicate = 0.005;
+  rates.delay = 0.03;
+  rates.delay_mean = sim::Microseconds(60);
+  plan->SetDefaultRates(rates);
+  // The delay episode: half of backend 0's messages stall ~2 ms, far past
+  // hedge_delay, so hedges fire and its EWMA becomes an outlier.
+  net::LinkFaultRates slow = rates;
+  slow.delay = 0.5;
+  slow.delay_mean = sim::Milliseconds(2);
+  plan->SetHostRates(cell.backend(0).host(), slow);
+  plan->SetActiveWindow(sim::Milliseconds(10), sim::Milliseconds(120));
+  plan->AddPartition(1, 2, sim::Milliseconds(30), sim::Milliseconds(80));
+  plan->AddHostPause(3, sim::Milliseconds(50), sim::Milliseconds(2));
+  plan->ScheduleCrash(1, sim::Milliseconds(60), sim::Milliseconds(20));
+  cell.fabric().InstallFaults(plan);
+  for (const net::CrashEvent& ev : plan->crash_schedule()) {
+    sim.Spawn([](sim::Simulator& sim, Cell* cell,
+                 net::CrashEvent ev) -> sim::Task<void> {
+      co_await sim.WaitUntil(ev.at);
+      (void)co_await cell->CrashAndRestart(ev.shard, ev.downtime);
+    }(sim, &cell, ev));
+  }
+
+  std::vector<Client*> clients;
+  for (int c = 0; c < kReadClients; ++c) {
+    ClientConfig cc;
+    cc.client_id = uint32_t(c + 1);
+    cc.hedge_reads = true;
+    cc.hedge_delay = sim::Microseconds(40);
+    cc.eject_slow_replicas = true;
+    cc.degraded_reads = true;
+    cc.loccache_ttl = sim::Milliseconds(5);
+    clients.push_back(cell.AddClient(cc));
+  }
+
+  auto loaded = std::make_shared<sim::Notification>(sim);
+  sim.Spawn([](Client* client,
+               std::shared_ptr<sim::Notification> loaded) -> sim::Task<void> {
+    (void)co_await client->Connect();
+    for (int k = 0; k < kReadPreloaded; ++k) {
+      (void)co_await client->Set(KeyName(k),
+                                 Bytes(kValueBytes, std::byte{0x33}));
+    }
+    loaded->Notify();
+  }(clients[0], loaded));
+
+  auto done = std::make_shared<int>(0);
+  for (int c = 0; c < kReadClients; ++c) {
+    sim.Spawn(ReadTraffic(sim, clients[size_t(c)],
+                          seed + uint64_t(c) * 6151, loaded, done));
+  }
+  while (*done < kReadClients && !sim.empty()) sim.RunSteps(1024);
+  EXPECT_EQ(*done, kReadClients);
+  sim.RunUntil(sim::Milliseconds(400));
+
+  ReadPathCapture cap;
+  FillFrom(cap.base, sim, cell, clients);
+  for (const Client* c : clients) {
+    const ClientStats& s = c->stats();
+    cap.multigets += s.multigets;
+    cap.batch_slowpath_keys += s.batch_slowpath_keys;
+    cap.loccache_speculative_reads += s.loccache_speculative_reads;
+    cap.hedged_reads += s.hedged_reads;
+    cap.slow_ejections += s.slow_ejections;
+    cap.degraded_attempts += s.degraded_attempts;
+    cap.window_errors += s.window_errors;
+    cap.op_timeouts += s.op_timeouts;
+  }
+  return cap;
+}
+
 // --- Recorded under the pre-overhaul scheduler (commit 2e72a17). ---------
 // To re-record after an *intentional* behavior change (never for a
 // scheduler/buffer refactor!), run with --gtest_also_run_disabled_tests
@@ -330,6 +512,89 @@ TEST(DeterminismAB, ReshardSeedMatchesSeedScheduler) {
   want.sets_applied = 354;
   want.repairs_issued = 47;
   ExpectEqual(got, want);
+}
+
+// --- Read-path pins, recorded before the client's read steps were merged
+// into shared helpers. Any refactor of the read path must leave them
+// untouched. ---------------------------------------------------------------
+
+ReadPathCapture WantReadPathHwRma() {
+  ReadPathCapture want;
+  want.base.fault_fingerprint = 0x47c27f07c29a0aa3ull;
+  want.base.fault_trace_events = 185;
+  want.base.span_fingerprint = 0xb5b12871dad6912cull;
+  want.base.spans_completed = 14466;
+  want.base.sim_events = 28145;
+  want.base.final_now = 1097148991;
+  want.base.gets = 946;
+  want.base.hits = 688;
+  want.base.sets = 133;
+  want.base.retries = 60;
+  want.base.torn_reads = 5;
+  want.base.rma_reads = 835;
+  want.base.rma_scars = 0;
+  want.base.sets_applied = 409;
+  want.base.repairs_issued = 21;
+  want.multigets = 154;
+  want.batch_slowpath_keys = 22;
+  want.loccache_speculative_reads = 171;
+  want.hedged_reads = 6;
+  want.slow_ejections = 155;
+  want.degraded_attempts = 8;
+  want.window_errors = 42;
+  want.op_timeouts = 23;
+  return want;
+}
+
+ReadPathCapture WantReadPathSoftNic() {
+  ReadPathCapture want;
+  want.base.fault_fingerprint = 0x9902a22cd333d666ull;
+  want.base.fault_trace_events = 186;
+  want.base.span_fingerprint = 0xd03dd04f259f014full;
+  want.base.spans_completed = 10810;
+  want.base.sim_events = 23132;
+  want.base.final_now = 400000000;
+  want.base.gets = 887;
+  want.base.hits = 569;
+  want.base.sets = 137;
+  want.base.retries = 20;
+  want.base.torn_reads = 4;
+  want.base.rma_reads = 170;
+  want.base.rma_scars = 406;
+  want.base.sets_applied = 419;
+  want.base.repairs_issued = 18;
+  want.multigets = 142;
+  want.batch_slowpath_keys = 11;
+  want.loccache_speculative_reads = 149;
+  want.hedged_reads = 1;
+  want.slow_ejections = 118;
+  want.degraded_attempts = 3;
+  want.window_errors = 36;
+  want.op_timeouts = 7;
+  return want;
+}
+
+// A pinned counter of 0 would pass against code that never reaches that
+// stage; every read-path counter must be exercised by its scenario.
+TEST(DeterminismReadPath, PinsExerciseEveryReadStage) {
+  for (const ReadPathCapture& want :
+       {WantReadPathHwRma(), WantReadPathSoftNic()}) {
+    for (const auto& [name, value] : want.ReadCounters()) {
+      EXPECT_GT(value, 0) << name;
+    }
+  }
+}
+
+TEST(DeterminismReadPath, TwoRCellMatchesPin) {
+  ReadPathCapture got = RunReadPathScenario(TransportKind::kOneRma, 0x2E4Du);
+  got.Print("read-2xr");
+  ExpectEqual(got, WantReadPathHwRma());
+}
+
+TEST(DeterminismReadPath, ScarCellMatchesPin) {
+  ReadPathCapture got = RunReadPathScenario(TransportKind::kSoftNic, 0x5CA2u);
+  got.Print("read-scar");
+  ExpectEqual(got, WantReadPathSoftNic());
 }
 
 // Same-process replay stability: the scenario is a pure function of its

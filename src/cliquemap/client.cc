@@ -1,11 +1,81 @@
 #include "cliquemap/client.h"
 
 #include <algorithm>
+#include <optional>
 #include <string_view>
+#include <type_traits>
 
 #include "cliquemap/compress.h"
 
 namespace cm::cliquemap {
+
+namespace {
+
+// A replica that failed a connection is skipped while it backs off
+// ("clients only send two out of three operations per GET, as they await
+// reconnect", §7.2.3). kReplicaBackoff is the *base*: the actual skip
+// interval uses decorrelated jitter in [base, kReplicaBackoffMax], growing
+// with consecutive failures, so a fleet of clients does not re-probe a
+// recovering backend in lockstep (retry incast).
+constexpr sim::Duration kReplicaBackoff = sim::Milliseconds(200);
+constexpr sim::Duration kReplicaBackoffMax = sim::Seconds(2);
+
+// Between GET retry attempts under transient faults the client sleeps a
+// full-jittered exponential backoff, bounded by the op deadline.
+constexpr sim::Duration kRetryBackoffBase = sim::Microseconds(50);
+constexpr sim::Duration kRetryBackoffMax = sim::Milliseconds(2);
+
+// Gray-failure defense (ClientConfig::eject_slow_replicas): weight of a new
+// sample in the per-replica index-fetch latency EWMA, and the outlier
+// factor — a replica whose EWMA exceeds this many times the fastest live
+// replica's is dropped from the fan-out.
+constexpr double kEwmaAlpha = 0.2;
+constexpr double kSlowEjectFactor = 4.0;
+
+// Degraded pass: per-replica probe budget when the op deadline is already
+// spent.
+constexpr sim::Duration kDegradedProbeGrace = sim::Milliseconds(1);
+
+// Batched MultiGet incast guard: at most this many in-flight vectored ops
+// per backend...
+constexpr int kBatchMaxInflightPerBackend = 2;
+// ...and consecutive issues toward the same backend are paced at least
+// this far apart, so a large batch does not burst-solicit one host.
+constexpr sim::Duration kBatchIssueGap = sim::Microseconds(2);
+
+// Location-cache LRU entry cap.
+constexpr size_t kLocCacheEntries = 4096;
+// Adaptive speculation breaker: when the recent speculation failure ratio
+// crosses 0.5 (over a window of 64 outcomes, once at least 16 are in) —
+// heavy churn, so cached pointers are mostly stale and each miss costs one
+// wasted RMA read — speculation pauses for a 50 ms cooldown.
+constexpr SpeculationGovernor::Options kSpeculationBreaker{
+    0.5, 16, 64, sim::Milliseconds(50)};
+
+// Outcome of slot `j` of a completed vectored op: the whole-vector failure
+// (lost command or completion), a short vector, or the slot's own status.
+template <typename T>
+Status SlotStatus(const Status& whole, const std::vector<StatusOr<T>>& slots,
+                  size_t j) {
+  if (!whole.ok()) return whole;
+  if (j >= slots.size()) {
+    return InternalError(std::is_same_v<T, rma::ScarResult>
+                             ? "short scar vector"
+                             : "short read vector");
+  }
+  return slots[j].status();
+}
+
+// Decodes the value and version of an RPC GET-style response; nullopt when
+// either is missing.
+std::optional<GetResult> DecodeRpcValue(const rpc::WireReader& r) {
+  auto value = r.GetBytes(proto::kTagValue);
+  auto version = proto::GetVersion(r);
+  if (!value || !version) return std::nullopt;
+  return GetResult{Bytes(value->begin(), value->end()), *version};
+}
+
+}  // namespace
 
 Client::Client(net::Fabric& fabric, rpc::RpcNetwork& rpc_network,
                rma::RmaTransport* transport, truetime::TrueTime& truetime,
@@ -20,10 +90,8 @@ Client::Client(net::Fabric& fabric, rpc::RpcNetwork& rpc_network,
       config_(config),
       rng_(0x5eedC11E4DABull ^ (uint64_t{config.client_id} * 0x9E3779B97F4A7C15ull)),
       alive_(std::make_shared<bool>(true)),
-      loccache_(config.loccache_entries),
-      spec_governor_(SpeculationGovernor::Options{
-          config.spec_disable_failure_ratio, config.spec_min_samples,
-          config.spec_window_samples, config.spec_cooldown}),
+      loccache_(kLocCacheEntries),
+      spec_governor_(kSpeculationBreaker),
       exports_(&fabric.metrics()) {
   const metrics::Labels l = {{"client", std::to_string(config_.client_id)}};
   exports_.ExportCounter("cm.client.gets", l, &stats_.gets);
@@ -215,14 +283,14 @@ sim::Task<Status> Client::RefreshConfig() {
   co_return OkStatus();
 }
 
+bool Client::IsConnected(uint32_t shard) const {
+  const Conn& conn = conns_[shard];
+  return conn.connected && conn.config_id == view_.shard_config_ids[shard] &&
+         conn.host == view_.shard_hosts[shard];
+}
+
 sim::Task<Status> Client::EnsureConnected(uint32_t shard) {
-  {
-    const Conn& conn = conns_[shard];
-    if (conn.connected && conn.config_id == view_.shard_config_ids[shard] &&
-        conn.host == view_.shard_hosts[shard]) {
-      co_return OkStatus();
-    }
-  }
+  if (IsConnected(shard)) co_return OkStatus();
   // Up to two rounds: if the backend we handshake with reports a config id
   // that contradicts our cell view, the view is stale (a migration or
   // spare handoff we haven't heard about) — refresh it and retry once.
@@ -277,11 +345,11 @@ void Client::NoteReplicaFailure(uint32_t shard) {
   // Decorrelated jitter: sleep = min(cap, uniform[base, 3 * prev_sleep]).
   // Grows toward the cap under persistent failure, and spreads a fleet of
   // clients out so a recovering backend is not hit by a probe incast.
-  const sim::Duration base = config_.replica_backoff;
+  const sim::Duration base = kReplicaBackoff;
   const sim::Duration prev = std::max(conn.backoff_cur, base);
   const auto span = double(3 * prev - base);
   const auto next = std::min<sim::Duration>(
-      config_.replica_backoff_max,
+      kReplicaBackoffMax,
       base + static_cast<sim::Duration>(rng_.NextDouble() * span));
   conn.backoff_cur = next;
   conn.dead_until = sim_.now() + next;
@@ -300,6 +368,178 @@ void Client::NoteReplicaFailure(uint32_t shard) {
 }
 
 // ---------------------------------------------------------------------------
+// Read steps shared by GetOnce and MultiGetBatched
+// ---------------------------------------------------------------------------
+
+bool Client::UseScar(const OpContext& ctx) const {
+  if (ctx.strategy == LookupStrategy::kScar) return true;
+  if (ctx.strategy == LookupStrategy::kTwoR) return false;
+  return transport_->SupportsScar();
+}
+
+rma::ReadVEntry Client::BucketWindow(const Conn& conn, const Hash128& hash) {
+  const uint64_t bucket = BucketIndex(hash, conn.num_buckets);
+  return {conn.index_region, bucket * BucketBytes(conn.ways),
+          static_cast<uint32_t>(BucketBytes(conn.ways))};
+}
+
+std::vector<uint32_t> Client::SelectReplicas(uint32_t primary, uint32_t n,
+                                             int replicas) {
+  std::vector<uint32_t> targets;
+  for (int r = 0; r < replicas; ++r) {
+    const uint32_t shard = ReplicaShard(primary, r, n);
+    if (conns_.size() <= shard) conns_.resize(n);
+    if (conns_[shard].dead_until > sim_.now()) continue;
+    targets.push_back(shard);
+  }
+  if (view_.mode == ReplicationMode::kR2Immutable && targets.size() > 1) {
+    // Only one replica need be consulted; spread load by client id, but
+    // prefer replicas without a recent connection failure (failover, §6.4).
+    std::vector<uint32_t> healthy;
+    for (uint32_t shard : targets) {
+      const Conn& conn = conns_[shard];
+      if (conn.connected || !conn.ever_failed) healthy.push_back(shard);
+    }
+    if (!healthy.empty()) targets = std::move(healthy);
+    targets = {targets[config_.client_id % targets.size()]};
+  }
+  return targets;
+}
+
+Client::ConnReadiness Client::CheckConnection(uint32_t shard) {
+  if (shard >= conns_.size()) return ConnReadiness::kDown;  // cell shrank
+  if (IsConnected(shard)) return ConnReadiness::kReady;
+  const Conn& conn = conns_[shard];
+  if (!conn.ever_failed) return ConnReadiness::kConnect;
+  // *Re*-connections to replicas that failed before are probed off the
+  // serving path ("clients only send two out of three operations per GET,
+  // as they await reconnect", §7.2.3), so a dead replica's connect timeout
+  // never blocks a quorum read.
+  if (!conn.probe_in_flight) {
+    conns_[shard].probe_in_flight = true;
+    sim_.Spawn([](Client* self, uint32_t shard,
+                  std::shared_ptr<bool> alive) -> sim::Task<void> {
+      (void)co_await self->EnsureConnected(shard);
+      if (*alive && shard < self->conns_.size()) {
+        self->conns_[shard].probe_in_flight = false;
+      }
+    }(this, shard, alive_));
+  }
+  return ConnReadiness::kDown;
+}
+
+void Client::NoteReadFailure(const Status& status, uint32_t shard) {
+  if (status.code() == StatusCode::kPermissionDenied) {
+    ++stats_.window_errors;
+    if (shard < conns_.size()) {
+      conns_[shard].connected = false;  // re-handshake next attempt
+    }
+  } else if (status.code() == StatusCode::kDeadlineExceeded) {
+    // A lost RMA op (fault injection): the replica itself may be fine, so
+    // no replica backoff — the op-level retry loop handles it.
+    ++stats_.op_timeouts;
+  }
+}
+
+Client::VoteTally::Verdict Client::CountVote(VoteTally& tally,
+                                            const IndexVote& vote,
+                                            int targets, int quorum) {
+  using Verdict = VoteTally::Verdict;
+  if (!vote.status.ok()) {
+    ++tally.failures;
+    NoteReadFailure(vote.status, vote.shard);
+    const StatusCode code = vote.status.code();
+    if (code == StatusCode::kUnavailable ||
+        code == StatusCode::kUnimplemented) {
+      NoteReplicaFailure(vote.shard);
+    }
+    return targets - tally.failures < quorum ? Verdict::kImpossible
+                                             : Verdict::kPending;
+  }
+  if (!vote.has_entry) {
+    ++tally.absence;
+    tally.overflow |= vote.overflow;
+    return tally.absence >= quorum ? Verdict::kAbsent : Verdict::kPending;
+  }
+  tally.last = nullptr;
+  for (VoteTally::Version& v : tally.versions) {
+    if (v.version == vote.entry.version) tally.last = &v;
+  }
+  if (tally.last == nullptr) {
+    tally.last = &tally.versions.emplace_back();
+    tally.last->version = vote.entry.version;
+  }
+  VoteTally::Version& v = *tally.last;
+  ++v.count;
+  if (v.count == 1) v.first = vote;
+  if (v.count == 2) v.second = vote;
+  return v.count >= quorum ? Verdict::kQuorum : Verdict::kPending;
+}
+
+std::optional<CachedLocation> Client::ServableLocation(const Hash128& hash) {
+  const CachedLocation* hit = loccache_.Lookup(hash, sim_.now());
+  if (hit == nullptr) return std::nullopt;
+  const CachedLocation loc = *hit;
+  // The location is only servable over the connection it was learned on:
+  // same shard, same serving host, same config generation.
+  if (loc.shard >= conns_.size() || loc.shard >= view_.num_shards() ||
+      !IsConnected(loc.shard) || conns_[loc.shard].config_id != loc.config_id) {
+    loccache_.Invalidate(hash);
+    return std::nullopt;
+  }
+  return loc;
+}
+
+void Client::RecordSpeculation(const Hash128& hash, uint32_t shard,
+                               const StatusOr<GetResult>& res) {
+  if (res.ok()) {
+    spec_governor_.Record(true, sim_.now());
+    // The observed version becomes the new floor: this client can never be
+    // served anything older through this entry again.
+    loccache_.RaiseVersionFloor(hash, res->version);
+    return;
+  }
+  // A failed read gets the usual fault bookkeeping; either way the quorum
+  // path (never a retry of the speculation itself) takes over.
+  NoteReadFailure(res.status(), shard);
+  ++stats_.loccache_speculative_failures;
+  spec_governor_.Record(false, sim_.now());
+  loccache_.Invalidate(hash);
+}
+
+void Client::FinishGet(StatusOr<GetResult>& result, const Hash128& hash,
+                       uint32_t num_shards, sim::Time start) {
+  // Transparent decompression (stored values are marker-prefixed).
+  if (result.ok() && config_.compress_values) {
+    auto raw = DecompressValue(result->value);
+    if (raw.ok()) {
+      result->value = std::move(raw).value();
+    } else {
+      result = raw.status();
+    }
+  }
+  if (result.ok()) {
+    ++stats_.hits;
+    RecordTouch(hash, PrimaryShard(hash, num_shards));
+  } else if (result.status().code() == StatusCode::kNotFound) {
+    ++stats_.misses;
+  } else {
+    ++stats_.get_errors;
+  }
+  stats_.get_latency_ns.Record(sim_.now() - start);
+}
+
+sim::Task<void> Client::ChargeIssueCpu() {
+  stats_.issue_cpu_ns += config_.issue_cpu;
+  return fabric_.host(host_).cpu().Run(config_.issue_cpu);
+}
+
+sim::Task<void> Client::ChargeValidateCpu() {
+  stats_.validate_cpu_ns += config_.validate_cpu;
+  return fabric_.host(host_).cpu().Run(config_.validate_cpu);
+}
+
+// ---------------------------------------------------------------------------
 // GET
 // ---------------------------------------------------------------------------
 
@@ -310,9 +550,7 @@ Client::OpContext Client::MakeContext(const GetOptions& opts,
   ctx.deadline_at = sim_.now() + ctx.op_deadline;
   ctx.span = span;
   ctx.strategy = opts.strategy.value_or(config_.strategy);
-  ctx.hedge = opts.hedge_reads.value_or(config_.hedge_reads);
-  ctx.speculate =
-      opts.speculate.value_or(config_.speculate) && loccache_.capacity() > 0;
+  ctx.speculate = opts.speculate.value_or(config_.speculate);
   ctx.degraded = opts.degraded.value_or(config_.degraded_reads);
   ctx.tenant = opts.tenant != 0 ? opts.tenant : config_.tenant;
   return ctx;
@@ -320,7 +558,6 @@ Client::OpContext Client::MakeContext(const GetOptions& opts,
 
 sim::Task<StatusOr<GetResult>> Client::Get(std::string key, GetOptions opts) {
   const sim::Time start = sim_.now();
-  if (opts.loccache_entries) loccache_.SetCapacity(*opts.loccache_entries);
   OpContext ctx = MakeContext(opts, trace::kNoSpan);
   ++stats_.gets;
   // RMA-plane policing: one-sided reads bypass the backend CPU, so the
@@ -359,12 +596,9 @@ sim::Task<StatusOr<GetResult>> Client::Get(std::string key, GetOptions opts) {
       // Dual-version window: a miss under the new topology may just be a
       // record that hasn't streamed over from its previous owner yet —
       // both generations answer reads while the window is open.
-      if (config_.prev_fallback && view_valid_ && view_.transition) {
+      if (view_valid_ && view_.transition) {
         auto prev = co_await PrevWindowGet(key, ctx);
-        if (prev.ok()) {
-          ++stats_.prev_window_gets;
-          result = std::move(prev);
-        }
+        if (prev.ok()) result = std::move(prev);
         break;  // hit via the previous owners, or absent in both topologies
       }
       // The topology moved underneath this attempt (a commit raced the
@@ -394,8 +628,7 @@ sim::Task<StatusOr<GetResult>> Client::Get(std::string key, GetOptions opts) {
     // every client whose op raced the same fault retries at the same
     // instant, turning one drop into a retry incast.
     const sim::Duration cap = std::min<sim::Duration>(
-        config_.retry_backoff_max,
-        config_.retry_backoff_base << std::min(attempt, 10));
+        kRetryBackoffMax, kRetryBackoffBase << std::min(attempt, 10));
     sim::Duration sleep = static_cast<sim::Duration>(
         rng_.NextDouble() * double(cap));
     sleep = std::min<sim::Duration>(sleep, ctx.deadline_at - sim_.now());
@@ -418,13 +651,9 @@ sim::Task<StatusOr<GetResult>> Client::Get(std::string key, GetOptions opts) {
   // Any failure class qualifies: a clean miss, an inquorate vote, or a
   // deadline burned retrying against replicas that are still being seeded
   // all mean the same thing — the new owners cannot answer yet.
-  if (!result.ok() && config_.prev_fallback && view_valid_ &&
-      view_.transition) {
+  if (!result.ok() && view_valid_ && view_.transition) {
     auto prev = co_await PrevWindowGet(key, ctx);
-    if (prev.ok()) {
-      ++stats_.prev_window_gets;
-      result = std::move(prev);
-    }
+    if (prev.ok()) result = std::move(prev);
   }
 
   // Quorum-loss degraded pass (opt-in): the quorum path failed in a way
@@ -444,16 +673,6 @@ sim::Task<StatusOr<GetResult>> Client::Get(std::string key, GetOptions opts) {
     }
   }
 
-  // Transparent decompression (stored values are marker-prefixed).
-  if (result.ok() && config_.compress_values) {
-    auto raw = DecompressValue(result->value);
-    if (raw.ok()) {
-      result->value = std::move(raw).value();
-    } else {
-      result = raw.status();
-    }
-  }
-
   // "A second failure ... causes the dirty quorum to degrade to an
   // inquorate state, which is treated as a cache miss" (§5.4): once the
   // retry budget is spent and the op still cannot form a quorum, report a
@@ -463,23 +682,13 @@ sim::Task<StatusOr<GetResult>> Client::Get(std::string key, GetOptions opts) {
     result = NotFoundError("inquorate (degraded dirty quorum; miss)");
   }
 
+  FinishGet(result, ctx.hash, view_.num_shards(), start);
   if (tenant_limited_ && ctx.tenant == config_.tenant && result.ok()) {
     const int64_t bytes = int64_t(result->value.size());
     stats_.tenant_rma_bytes += bytes;
     tenant_bytes_bucket_.Debit(sim_.now(), double(bytes));
   }
-
-  stats_.get_latency_ns.Record(sim_.now() - start);
   tracer.End(ctx.span, result.ok() ? 1 : 0);
-  if (result.ok()) {
-    ++stats_.hits;
-    const uint32_t primary = PrimaryShard(ctx.hash, view_.num_shards());
-    RecordTouch(ctx.hash, primary);
-  } else if (result.status().code() == StatusCode::kNotFound) {
-    ++stats_.misses;
-  } else {
-    ++stats_.get_errors;
-  }
   co_return result;
 }
 
@@ -488,11 +697,7 @@ sim::Task<MultiGetResult> Client::MultiGet(std::vector<std::string> keys,
   MultiGetResult out;
   if (keys.empty()) co_return out;  // no ops, no traffic, no counters
   ++stats_.multigets;
-  if (opts.loccache_entries) loccache_.SetCapacity(*opts.loccache_entries);
-  out.results.reserve(keys.size());
-  for (size_t i = 0; i < keys.size(); ++i) {
-    out.results.emplace_back(InternalError("unresolved"));
-  }
+  out.results.assign(keys.size(), InternalError("unresolved"));
 
   if (!view_valid_) (void)co_await RefreshConfig();
 
@@ -534,13 +739,15 @@ sim::Task<MultiGetResult> Client::MultiGet(std::vector<std::string> keys,
   std::vector<sim::Task<void>> tasks;
   tasks.reserve(keys.size());
   for (size_t i = 0; i < keys.size(); ++i) {
-    tasks.push_back([](Client* self, std::string key, GetOptions opts,
-                       StatusOr<GetResult>* slot) -> sim::Task<void> {
-      *slot = co_await self->Get(std::move(key), opts);
-    }(this, keys[i], opts, &out.results[i]));
+    tasks.push_back(GetInto(keys[i], opts, &out.results[i]));
   }
   co_await sim::JoinAll(sim_, std::move(tasks));
   co_return out;
+}
+
+sim::Task<void> Client::GetInto(std::string key, GetOptions opts,
+                                StatusOr<GetResult>* slot) {
+  *slot = co_await Get(std::move(key), opts);
 }
 
 sim::Task<void> Client::MultiGetBatched(const std::vector<std::string>& keys,
@@ -575,68 +782,36 @@ sim::Task<void> Client::MultiGetBatched(const std::vector<std::string>& keys,
   const uint32_t n = view_.num_shards();
   const int replicas = ReplicaCount(view_.mode);
   const int quorum = QuorumSize(view_.mode);
-  bool use_scar;
-  if (ctx.strategy == LookupStrategy::kScar) {
-    use_scar = true;
-  } else if (ctx.strategy == LookupStrategy::kTwoR) {
-    use_scar = false;
-  } else {
-    use_scar = transport_->SupportsScar();
-  }
+  const bool use_scar = UseScar(ctx);
 
   // Per-key pipeline state. A key leaves the pipeline as kDone (batch
   // resolved it) or kSlow (bounced to the single-key retry path, which owns
   // every hard case: torn reads, inquorate votes, deadline, prev-window).
   enum class Phase { kIndex, kData, kRpc, kSlow, kDone };
-  struct VersionTally {
-    VersionNumber version;
-    int count = 0;
-    IndexVote vote;  // first vote carrying this version
-  };
   struct KeyState {
     size_t slot = 0;
     Hash128 hash{};
     std::vector<uint32_t> targets;
-    std::vector<VersionTally> tallies;
-    int absence = 0;
-    bool overflow = false;
-    int failures = 0;
+    VoteTally tally;
     Phase phase = Phase::kIndex;
     IndexVote chosen;  // quorumed vote (data pointer / SCAR payload)
   };
   std::vector<KeyState> ks;
   ks.reserve(slots.size());
 
-  // Replica selection per key: GetOnce's policy (skip backed-off replicas;
-  // immutable R=2 consults one), minus outlier ejection — a shared vector
-  // op cannot eject per-key.
+  // Replica selection per key: GetOnce's policy, minus outlier ejection — a
+  // shared vector op cannot eject per-key.
   for (size_t slot : slots) {
     KeyState k;
     k.slot = slot;
     k.hash = config_.hash_fn(keys[slot]);
-    const uint32_t primary = PrimaryShard(k.hash, n);
-    for (int r = 0; r < replicas; ++r) {
-      const uint32_t shard = ReplicaShard(primary, r, n);
-      if (conns_.size() <= shard) conns_.resize(n);
-      if (conns_[shard].dead_until > sim_.now()) continue;
-      k.targets.push_back(shard);
-    }
-    if (view_.mode == ReplicationMode::kR2Immutable && k.targets.size() > 1) {
-      std::vector<uint32_t> healthy;
-      for (uint32_t shard : k.targets) {
-        const Conn& conn = conns_[shard];
-        if (conn.connected || !conn.ever_failed) healthy.push_back(shard);
-      }
-      if (!healthy.empty()) k.targets = std::move(healthy);
-      k.targets = {k.targets[config_.client_id % k.targets.size()]};
-    }
+    k.targets = SelectReplicas(PrimaryShard(k.hash, n), n, replicas);
     if (static_cast<int>(k.targets.size()) < quorum) k.phase = Phase::kSlow;
     ks.push_back(std::move(k));
   }
 
-  // Connect pass: one Info handshake per distinct unconnected shard
-  // (GetOnce's policy — first-time connects inline, reconnects to
-  // ever-failed replicas probed off the serving path).
+  // Connect pass: one Info handshake per distinct unconnected shard, in
+  // ascending shard order (GetOnce's policy, see CheckConnection).
   {
     std::map<uint32_t, bool> shard_ok;  // ordered → deterministic handshakes
     for (const KeyState& k : ks) {
@@ -644,48 +819,18 @@ sim::Task<void> Client::MultiGetBatched(const std::vector<std::string>& keys,
       for (uint32_t shard : k.targets) shard_ok.emplace(shard, false);
     }
     for (auto& [shard, ok] : shard_ok) {
-      if (shard >= conns_.size()) continue;  // cell shrank across an await
-      const Conn& conn = conns_[shard];
-      if (conn.connected && conn.config_id == view_.shard_config_ids[shard] &&
-          conn.host == view_.shard_hosts[shard]) {
-        ok = true;
-        continue;
+      const ConnReadiness c = CheckConnection(shard);
+      ok = c == ConnReadiness::kReady;
+      if (c == ConnReadiness::kConnect) {
+        ok = (co_await EnsureConnected(shard)).ok();
       }
-      if (conn.ever_failed) {
-        if (!conn.probe_in_flight) {
-          conns_[shard].probe_in_flight = true;
-          sim_.Spawn([](Client* self, uint32_t shard,
-                        std::shared_ptr<bool> alive) -> sim::Task<void> {
-            (void)co_await self->EnsureConnected(shard);
-            if (*alive && shard < self->conns_.size()) {
-              self->conns_[shard].probe_in_flight = false;
-            }
-          }(this, shard, alive_));
-        }
-        continue;
-      }
-      ok = (co_await EnsureConnected(shard)).ok();
     }
     for (KeyState& k : ks) {
       if (k.phase != Phase::kIndex) continue;
-      std::vector<uint32_t> connected;
-      for (uint32_t shard : k.targets) {
-        if (shard_ok[shard]) connected.push_back(shard);
-      }
-      k.targets = std::move(connected);
+      std::erase_if(k.targets, [&](uint32_t shard) { return !shard_ok[shard]; });
       if (static_cast<int>(k.targets.size()) < quorum) k.phase = Phase::kSlow;
     }
   }
-
-  // One backend's share of a vectored op (speculative, index, or data
-  // phase).
-  struct ShardBatch {
-    uint32_t shard = 0;
-    uint32_t ways = 0;
-    Status status;  // whole-vector outcome (lost command/completion)
-    std::vector<StatusOr<BufferView>> buckets;     // 2xR
-    std::vector<StatusOr<rma::ScarResult>> scars;  // SCAR
-  };
 
   // --- Speculative phase: location-cached keys are peeled out of the
   // batch plan into one vectored direct read per backend. A validated hit
@@ -700,28 +845,13 @@ sim::Task<void> Client::MultiGetBatched(const std::vector<std::string>& keys,
     };
     std::map<uint32_t, std::vector<SpecTarget>> spec_by_shard;
     for (size_t i = 0; i < ks.size(); ++i) {
-      KeyState& k = ks[i];
-      if (k.phase != Phase::kIndex) continue;
-      const CachedLocation* hit = loccache_.Lookup(k.hash, sim_.now());
-      if (hit == nullptr) continue;
-      const CachedLocation loc = *hit;
-      if (loc.shard >= conns_.size() || loc.shard >= view_.num_shards()) {
-        loccache_.Invalidate(k.hash);
-        continue;
+      if (ks[i].phase != Phase::kIndex) continue;
+      if (std::optional<CachedLocation> loc = ServableLocation(ks[i].hash)) {
+        spec_by_shard[loc->shard].push_back({i, *loc});
       }
-      const Conn& conn = conns_[loc.shard];
-      if (!conn.connected || conn.config_id != loc.config_id ||
-          conn.config_id != view_.shard_config_ids[loc.shard] ||
-          conn.host != view_.shard_hosts[loc.shard]) {
-        loccache_.Invalidate(k.hash);
-        continue;
-      }
-      spec_by_shard[loc.shard].push_back({i, loc});
     }
-    auto spec_results = std::make_shared<sim::Channel<ShardBatch>>(sim_);
-    int spec_ops = 0;
+    VectorRound round{std::make_shared<sim::Channel<ShardBatch>>(sim_)};
     for (const auto& [shard, items] : spec_by_shard) {
-      const Conn conn = conns_[shard];  // copy: conns_ may be invalidated
       std::vector<rma::ReadVEntry> entries;
       entries.reserve(items.size());
       for (const SpecTarget& t : items) {
@@ -729,72 +859,27 @@ sim::Task<void> Client::MultiGetBatched(const std::vector<std::string>& keys,
             {t.loc.pointer.region, t.loc.pointer.offset, t.loc.pointer.size});
       }
       stats_.loccache_speculative_reads += static_cast<int64_t>(items.size());
-      sim_.Spawn([](Client* self, uint32_t shard, net::HostId target,
-                    std::vector<rma::ReadVEntry> entries, trace::SpanId span,
-                    std::shared_ptr<sim::Channel<ShardBatch>> results)
-                     -> sim::Task<void> {
-        co_await self->AcquireIssueSlot(shard);
-        self->stats_.issue_cpu_ns += self->config_.issue_cpu;
-        co_await self->fabric_.host(self->host_).cpu().Run(
-            self->config_.issue_cpu);
-        ShardBatch b;
-        b.shard = shard;
-        ++self->stats_.batch_vector_ops;
-        self->stats_.batch_vector_entries +=
-            static_cast<int64_t>(entries.size());
-        auto r = co_await self->transport_->ReadV(self->host_, target,
-                                                  std::move(entries), span);
-        if (r.ok()) {
-          b.buckets = *std::move(r);
-        } else {
-          b.status = r.status();
-        }
-        self->ReleaseIssueSlot(shard);
-        results->Send(std::move(b));
-      }(this, shard, conn.host, std::move(entries), ctx.span, spec_results));
-      ++spec_ops;
+      sim_.Spawn(VectorOp(shard, 0, conns_[shard].host, std::move(entries), {},
+                          ctx.span, round.results));
+      ++round.pending;
     }
-    out->stats.coalesced_reads += spec_ops;
-    int spec_pending = spec_ops;
-    while (spec_pending > 0) {
-      const sim::Duration remaining = ctx.deadline_at - sim_.now();
-      if (remaining <= 0) break;
-      auto b = co_await spec_results->RecvFor(remaining);
-      if (!b) break;
-      --spec_pending;
-      stats_.validate_cpu_ns += config_.validate_cpu;
-      co_await fabric_.host(host_).cpu().Run(config_.validate_cpu);
+    out->stats.coalesced_reads += round.pending;
+    while (std::optional<ShardBatch> b =
+               co_await NextVector(round, ctx.deadline_at)) {
       const auto& items = spec_by_shard[b->shard];
       for (size_t j = 0; j < items.size(); ++j) {
         KeyState& k = ks[items[j].ki];
-        StatusOr<GetResult> res = InternalError("speculation unresolved");
-        if (!b->status.ok()) {
-          res = b->status;
-        } else if (j >= b->buckets.size()) {
-          res = InternalError("short read vector");
-        } else if (!b->buckets[j].ok()) {
-          res = b->buckets[j].status();
-        } else {
-          res = ValidateSpeculative(*b->buckets[j], keys[k.slot], k.hash,
-                                    items[j].loc.version);
-        }
+        const Status slot = SlotStatus(b->status, b->buckets, j);
+        StatusOr<GetResult> res =
+            slot.ok() ? ValidateSpeculative(*b->buckets[j], keys[k.slot],
+                                            k.hash, items[j].loc.version)
+                      : StatusOr<GetResult>(slot);
+        RecordSpeculation(k.hash, b->shard, res);
         if (res.ok()) {
-          spec_governor_.Record(true, sim_.now());
-          loccache_.RaiseVersionFloor(k.hash, res->version);
           out->results[k.slot] = std::move(res);
           k.phase = Phase::kDone;
-          continue;
         }
-        if (res.status().code() == StatusCode::kPermissionDenied) {
-          ++stats_.window_errors;
-          if (b->shard < conns_.size()) conns_[b->shard].connected = false;
-        } else if (res.status().code() == StatusCode::kDeadlineExceeded) {
-          ++stats_.op_timeouts;
-        }
-        ++stats_.loccache_speculative_failures;
-        spec_governor_.Record(false, sim_.now());
-        loccache_.Invalidate(k.hash);
-        // Phase stays kIndex: the key rejoins the quorum plan.
+        // Otherwise the phase stays kIndex: the key rejoins the quorum plan.
       }
     }
   }
@@ -809,163 +894,68 @@ sim::Task<void> Client::MultiGetBatched(const std::vector<std::string>& keys,
       by_shard[ks[i].targets[r]].push_back({i, static_cast<int>(r)});
     }
   }
-  auto index_results = std::make_shared<sim::Channel<ShardBatch>>(sim_);
-  int index_ops = 0;
+  VectorRound index_round{std::make_shared<sim::Channel<ShardBatch>>(sim_)};
   for (const auto& [shard, items] : by_shard) {
-    const Conn conn = conns_[shard];  // copy: conns_ may be invalidated
+    const Conn& conn = conns_[shard];
     std::vector<rma::ReadVEntry> rentries;
     std::vector<rma::ScarVEntry> sentries;
     for (const auto& [ki, replica] : items) {
-      const uint64_t bucket = BucketIndex(ks[ki].hash, conn.num_buckets);
-      const uint64_t offset = bucket * BucketBytes(conn.ways);
-      const auto length = static_cast<uint32_t>(BucketBytes(conn.ways));
+      const rma::ReadVEntry window = BucketWindow(conn, ks[ki].hash);
       if (use_scar) {
-        sentries.push_back({conn.index_region, offset, length,
+        sentries.push_back({window.region, window.offset, window.length,
                             ks[ki].hash.hi, ks[ki].hash.lo});
       } else {
-        rentries.push_back({conn.index_region, offset, length});
+        rentries.push_back(window);
       }
     }
-    sim_.Spawn([](Client* self, uint32_t shard, uint32_t ways,
-                  net::HostId target, std::vector<rma::ReadVEntry> rentries,
-                  std::vector<rma::ScarVEntry> sentries, bool use_scar,
-                  trace::SpanId span,
-                  std::shared_ptr<sim::Channel<ShardBatch>> results)
-                   -> sim::Task<void> {
-      co_await self->AcquireIssueSlot(shard);
-      self->stats_.issue_cpu_ns += self->config_.issue_cpu;
-      co_await self->fabric_.host(self->host_).cpu().Run(
-          self->config_.issue_cpu);
-      ShardBatch b;
-      b.shard = shard;
-      b.ways = ways;
-      ++self->stats_.batch_vector_ops;
-      if (use_scar) {
-        self->stats_.batch_vector_entries +=
-            static_cast<int64_t>(sentries.size());
-        auto r = co_await self->transport_->ScanAndReadV(
-            self->host_, target, std::move(sentries), span);
-        if (r.ok()) {
-          b.scars = *std::move(r);
-        } else {
-          b.status = r.status();
-        }
-      } else {
-        self->stats_.batch_vector_entries +=
-            static_cast<int64_t>(rentries.size());
-        auto r = co_await self->transport_->ReadV(
-            self->host_, target, std::move(rentries), span);
-        if (r.ok()) {
-          b.buckets = *std::move(r);
-        } else {
-          b.status = r.status();
-        }
-      }
-      self->ReleaseIssueSlot(shard);
-      results->Send(std::move(b));
-    }(this, shard, conn.ways, conn.host, std::move(rentries),
-      std::move(sentries), use_scar, ctx.span, index_results));
-    ++index_ops;
+    sim_.Spawn(VectorOp(shard, conn.ways, conn.host, std::move(rentries),
+                        std::move(sentries), ctx.span, index_round.results));
+    ++index_round.pending;
   }
   out->stats.backends_contacted = static_cast<int>(by_shard.size());
-  out->stats.coalesced_reads += index_ops;
+  out->stats.coalesced_reads += index_round.pending;
 
-  // Apply one replica's vote to its key's quorum state — the same decision
-  // table GetOnce runs, except every dead end routes to kSlow/kRpc instead
-  // of failing an op.
-  auto apply_vote = [&](KeyState& k, IndexVote vote) {
-    if (k.phase != Phase::kIndex) return;
-    if (!vote.status.ok()) {
-      ++k.failures;
-      const StatusCode code = vote.status.code();
-      if (code == StatusCode::kPermissionDenied) {
-        ++stats_.window_errors;
-        if (vote.shard < conns_.size()) {
-          conns_[vote.shard].connected = false;  // re-handshake next attempt
-        }
-      } else if (code == StatusCode::kUnavailable ||
-                 code == StatusCode::kUnimplemented) {
-        NoteReplicaFailure(vote.shard);
-      } else if (code == StatusCode::kDeadlineExceeded) {
-        ++stats_.op_timeouts;
-      }
-      if (static_cast<int>(k.targets.size()) - k.failures < quorum) {
-        k.phase = Phase::kSlow;  // quorum impossible this round
-      }
-      return;
-    }
-    if (!vote.has_entry) {
-      ++k.absence;
-      k.overflow |= vote.overflow;
-      if (k.absence >= quorum) {
-        loccache_.Invalidate(k.hash);  // misses are never cached
-        if (k.overflow && config_.follow_overflow_fallback) {
-          k.phase = Phase::kRpc;  // bucket overflow: RPC-servable (§4.2)
-        } else {
-          out->results[k.slot] = NotFoundError("absence quorum");
-          k.phase = Phase::kDone;
-        }
-      }
-      return;
-    }
-    VersionTally* vt = nullptr;
-    for (auto& t : k.tallies) {
-      if (t.version == vote.entry.version) {
-        vt = &t;
-        break;
-      }
-    }
-    if (vt == nullptr) {
-      k.tallies.push_back(VersionTally{vote.entry.version, 0, vote});
-      vt = &k.tallies.back();
-    }
-    ++vt->count;
-    if (vt->count >= quorum) {
-      k.chosen = std::move(vt->vote);
-      k.phase = Phase::kData;
-    }
-  };
-
-  int pending = index_ops;
-  while (pending > 0) {
-    const sim::Duration remaining = ctx.deadline_at - sim_.now();
-    if (remaining <= 0) break;
-    auto b = co_await index_results->RecvFor(remaining);
-    if (!b) break;
-    --pending;
-    // Validation CPU is charged once per vector, not once per key — the
-    // second half of the batching amortization.
-    stats_.validate_cpu_ns += config_.validate_cpu;
-    co_await fabric_.host(host_).cpu().Run(config_.validate_cpu);
+  while (std::optional<ShardBatch> b =
+             co_await NextVector(index_round, ctx.deadline_at)) {
     const auto& items = by_shard[b->shard];
     for (size_t j = 0; j < items.size(); ++j) {
       KeyState& k = ks[items[j].first];
+      if (k.phase != Phase::kIndex) continue;
       IndexVote vote;
       vote.replica = items[j].second;
       vote.shard = b->shard;
-      if (!b->status.ok()) {
-        vote.status = b->status;
-      } else if (use_scar) {
-        if (j >= b->scars.size()) {
-          vote.status = InternalError("short scar vector");
-        } else if (!b->scars[j].ok()) {
-          vote.status = b->scars[j].status();
-        } else {
+      if (use_scar) {
+        vote.status = SlotStatus(b->status, b->scars, j);
+        if (vote.status.ok()) {
           vote.status = DecodeBucketVote(b->scars[j]->bucket, b->shard,
                                          k.hash, b->ways, &vote);
           if (vote.status.ok()) vote.scar_data = std::move(b->scars[j]->data);
         }
       } else {
-        if (j >= b->buckets.size()) {
-          vote.status = InternalError("short read vector");
-        } else if (!b->buckets[j].ok()) {
-          vote.status = b->buckets[j].status();
-        } else {
+        vote.status = SlotStatus(b->status, b->buckets, j);
+        if (vote.status.ok()) {
           vote.status = DecodeBucketVote(*b->buckets[j], b->shard, k.hash,
                                          b->ways, &vote);
         }
       }
-      apply_vote(k, std::move(vote));
+      // The decision table GetOnce runs, except that every dead end routes
+      // to kSlow/kRpc instead of failing an op.
+      const VoteTally::Verdict verdict =
+          CountVote(k.tally, vote, static_cast<int>(k.targets.size()), quorum);
+      if (verdict == VoteTally::Verdict::kImpossible) {
+        k.phase = Phase::kSlow;  // quorum impossible this round
+      } else if (verdict == VoteTally::Verdict::kAbsent) {
+        loccache_.Invalidate(k.hash);  // misses are never cached
+        if (k.tally.overflow) {
+          k.phase = Phase::kRpc;  // bucket overflow: RPC-servable (§4.2)
+        } else {
+          out->results[k.slot] = NotFoundError("absence quorum");
+          k.phase = Phase::kDone;
+        }
+      } else if (verdict == VoteTally::Verdict::kQuorum) {
+        k.chosen = std::move(k.tally.last->first);
+        k.phase = Phase::kData;
+      }
     }
   }
   for (KeyState& k : ks) {
@@ -974,26 +964,27 @@ sim::Task<void> Client::MultiGetBatched(const std::vector<std::string>& keys,
     if (k.phase == Phase::kIndex) k.phase = Phase::kSlow;
   }
 
+  // A validated hit (or a hash-collision miss) resolves its key; a torn
+  // read retries cleanly on the single-key path.
+  auto settle_data = [&](KeyState& k, StatusOr<GetResult> r) {
+    if (r.ok() || r.status().code() == StatusCode::kNotFound) {
+      if (r.ok()) CacheWinningVote(k.hash, k.chosen, ctx);
+      out->results[k.slot] = std::move(r);
+      k.phase = Phase::kDone;
+    } else {
+      k.phase = Phase::kSlow;
+    }
+  };
+
   // --- Data phase. SCAR piggybacked the DataEntry bytes; validate in
-  // place. 2xR issues one more vectored read per backend holding quorumed
-  // pointers. ---
+  // place (an empty payload — the pointer raced an eviction or mutation —
+  // fails validation as a torn read). 2xR issues one more vectored read per
+  // backend holding quorumed pointers. ---
   if (use_scar) {
     for (KeyState& k : ks) {
       if (k.phase != Phase::kData) continue;
-      if (k.chosen.scar_data.empty()) {
-        ++stats_.torn_reads;  // pointer raced an eviction/mutation
-        k.phase = Phase::kSlow;
-        continue;
-      }
-      auto r = ValidateData(k.chosen.scar_data, keys[k.slot], k.hash,
-                            k.chosen.entry.version);
-      if (r.ok() || r.status().code() == StatusCode::kNotFound) {
-        if (r.ok()) CacheWinningVote(k.hash, k.chosen, ctx);
-        out->results[k.slot] = std::move(r);
-        k.phase = Phase::kDone;
-      } else {
-        k.phase = Phase::kSlow;  // torn read: retry cleanly
-      }
+      settle_data(k, ValidateData(k.chosen.scar_data, keys[k.slot], k.hash,
+                                  k.chosen.entry.version));
     }
   } else {
     std::map<uint32_t, std::vector<size_t>> data_by_shard;
@@ -1002,88 +993,37 @@ sim::Task<void> Client::MultiGetBatched(const std::vector<std::string>& keys,
         data_by_shard[ks[i].chosen.shard].push_back(i);
       }
     }
-    auto data_results = std::make_shared<sim::Channel<ShardBatch>>(sim_);
-    int data_ops = 0;
+    VectorRound round{std::make_shared<sim::Channel<ShardBatch>>(sim_)};
     for (const auto& [shard, items] : data_by_shard) {
       if (shard >= conns_.size() || !conns_[shard].connected) {
         for (size_t i : items) ks[i].phase = Phase::kSlow;
         continue;
       }
-      const Conn conn = conns_[shard];
       std::vector<rma::ReadVEntry> entries;
       entries.reserve(items.size());
       for (size_t i : items) {
         const IndexEntry& e = ks[i].chosen.entry;
         entries.push_back({e.pointer.region, e.pointer.offset, e.pointer.size});
       }
-      sim_.Spawn([](Client* self, uint32_t shard, net::HostId target,
-                    std::vector<rma::ReadVEntry> entries, trace::SpanId span,
-                    std::shared_ptr<sim::Channel<ShardBatch>> results)
-                     -> sim::Task<void> {
-        co_await self->AcquireIssueSlot(shard);
-        self->stats_.issue_cpu_ns += self->config_.issue_cpu;
-        co_await self->fabric_.host(self->host_).cpu().Run(
-            self->config_.issue_cpu);
-        ShardBatch b;
-        b.shard = shard;
-        ++self->stats_.batch_vector_ops;
-        self->stats_.batch_vector_entries +=
-            static_cast<int64_t>(entries.size());
-        auto r = co_await self->transport_->ReadV(self->host_, target,
-                                                  std::move(entries), span);
-        if (r.ok()) {
-          b.buckets = *std::move(r);
-        } else {
-          b.status = r.status();
-        }
-        self->ReleaseIssueSlot(shard);
-        results->Send(std::move(b));
-      }(this, shard, conn.host, std::move(entries), ctx.span, data_results));
-      ++data_ops;
+      sim_.Spawn(VectorOp(shard, 0, conns_[shard].host, std::move(entries), {},
+                          ctx.span, round.results));
+      ++round.pending;
     }
-    out->stats.coalesced_reads += data_ops;
-    int data_pending = data_ops;
-    while (data_pending > 0) {
-      const sim::Duration remaining = ctx.deadline_at - sim_.now();
-      if (remaining <= 0) break;
-      auto b = co_await data_results->RecvFor(remaining);
-      if (!b) break;
-      --data_pending;
-      stats_.validate_cpu_ns += config_.validate_cpu;
-      co_await fabric_.host(host_).cpu().Run(config_.validate_cpu);
+    out->stats.coalesced_reads += round.pending;
+    while (std::optional<ShardBatch> b =
+               co_await NextVector(round, ctx.deadline_at)) {
       const auto& items = data_by_shard[b->shard];
       for (size_t j = 0; j < items.size(); ++j) {
         KeyState& k = ks[items[j]];
         if (k.phase != Phase::kData) continue;
-        Status slot_status = b->status;
-        if (slot_status.ok()) {
-          if (j >= b->buckets.size()) {
-            slot_status = InternalError("short read vector");
-          } else if (!b->buckets[j].ok()) {
-            slot_status = b->buckets[j].status();
-          }
-        }
-        if (!slot_status.ok()) {
-          if (slot_status.code() == StatusCode::kPermissionDenied) {
-            ++stats_.window_errors;
-            if (b->shard < conns_.size()) {
-              conns_[b->shard].connected = false;
-            }
-          } else if (slot_status.code() == StatusCode::kDeadlineExceeded) {
-            ++stats_.op_timeouts;
-          }
+        const Status slot = SlotStatus(b->status, b->buckets, j);
+        if (!slot.ok()) {
+          NoteReadFailure(slot, b->shard);
           k.phase = Phase::kSlow;
           continue;
         }
-        auto r = ValidateData(*b->buckets[j], keys[k.slot], k.hash,
-                              k.chosen.entry.version);
-        if (r.ok() || r.status().code() == StatusCode::kNotFound) {
-          if (r.ok()) CacheWinningVote(k.hash, k.chosen, ctx);
-          out->results[k.slot] = std::move(r);
-          k.phase = Phase::kDone;
-        } else {
-          k.phase = Phase::kSlow;
-        }
+        settle_data(k, ValidateData(*b->buckets[j], keys[k.slot], k.hash,
+                                    k.chosen.entry.version));
       }
     }
     for (KeyState& k : ks) {
@@ -1095,11 +1035,8 @@ sim::Task<void> Client::MultiGetBatched(const std::vector<std::string>& keys,
   // absence quorum carried the bucket-overflow bit. ---
   std::map<uint32_t, std::vector<size_t>> rpc_by_shard;
   for (size_t i = 0; i < ks.size(); ++i) {
-    if (ks[i].phase == Phase::kRpc && !ks[i].targets.empty()) {
-      rpc_by_shard[ks[i].targets[0]].push_back(i);
-    } else if (ks[i].phase == Phase::kRpc) {
-      ks[i].phase = Phase::kSlow;
-    }
+    // (An absence quorum implies at least one target.)
+    if (ks[i].phase == Phase::kRpc) rpc_by_shard[ks[i].targets[0]].push_back(i);
   }
   for (const auto& [shard, items] : rpc_by_shard) {
     const sim::Duration remaining = ctx.deadline_at - sim_.now();
@@ -1126,30 +1063,21 @@ sim::Task<void> Client::MultiGetBatched(const std::vector<std::string>& keys,
     const size_t m = r.CountBytes(proto::kTagResult);
     for (size_t j = 0; j < items.size(); ++j) {
       KeyState& k = ks[items[j]];
+      k.phase = Phase::kSlow;  // unless the frame below resolves it
       std::optional<ByteSpan> frame;
       if (j < m) frame = r.GetBytesAt(proto::kTagResult, j);
-      if (!frame) {
-        k.phase = Phase::kSlow;
-        continue;
-      }
+      if (!frame) continue;
       rpc::WireReader sub(*frame);
       const auto code = sub.GetU32(proto::kTagStatusCode)
                             .value_or(uint32_t(StatusCode::kInternal));
       if (code == uint32_t(StatusCode::kOk)) {
-        auto value = sub.GetBytes(proto::kTagValue);
-        auto version = proto::GetVersion(sub);
-        if (value && version) {
-          out->results[k.slot] =
-              GetResult{Bytes(value->begin(), value->end()), *version};
+        if (std::optional<GetResult> got = DecodeRpcValue(sub)) {
+          out->results[k.slot] = *std::move(got);
           k.phase = Phase::kDone;
-        } else {
-          k.phase = Phase::kSlow;
         }
       } else if (code == uint32_t(StatusCode::kNotFound)) {
         out->results[k.slot] = NotFoundError("no such key");
         k.phase = Phase::kDone;
-      } else {
-        k.phase = Phase::kSlow;
       }
     }
   }
@@ -1161,24 +1089,8 @@ sim::Task<void> Client::MultiGetBatched(const std::vector<std::string>& keys,
     if (k.phase != Phase::kDone) continue;
     ++stats_.gets;
     StatusOr<GetResult>& r = out->results[k.slot];
-    if (r.ok() && config_.compress_values) {
-      auto raw = DecompressValue(r->value);
-      if (raw.ok()) {
-        r->value = std::move(raw).value();
-      } else {
-        r = raw.status();
-      }
-    }
-    if (r.ok()) {
-      ++stats_.hits;
-      debit_bytes += static_cast<int64_t>(r->value.size());
-      RecordTouch(k.hash, PrimaryShard(k.hash, n));
-    } else if (r.status().code() == StatusCode::kNotFound) {
-      ++stats_.misses;
-    } else {
-      ++stats_.get_errors;
-    }
-    stats_.get_latency_ns.Record(sim_.now() - start);
+    FinishGet(r, k.hash, n, start);
+    if (r.ok()) debit_bytes += static_cast<int64_t>(r->value.size());
   }
   if (tenant_limited_ && ctx.tenant == config_.tenant && debit_bytes > 0) {
     stats_.tenant_rma_bytes += debit_bytes;
@@ -1195,36 +1107,80 @@ sim::Task<void> Client::MultiGetBatched(const std::vector<std::string>& keys,
     if (k.phase == Phase::kDone) continue;
     ++stats_.batch_slowpath_keys;
     ++out->stats.slowpath_keys;
-    slow_tasks.push_back([](Client* self, std::string key, GetOptions opts,
-                            StatusOr<GetResult>* slot) -> sim::Task<void> {
-      *slot = co_await self->Get(std::move(key), opts);
-    }(this, keys[k.slot], opts, &out->results[k.slot]));
+    slow_tasks.push_back(GetInto(keys[k.slot], opts, &out->results[k.slot]));
   }
   if (!slow_tasks.empty()) {
     co_await sim::JoinAll(sim_, std::move(slow_tasks));
   }
 }
 
+sim::Task<void> Client::VectorOp(
+    uint32_t shard, uint32_t ways, net::HostId target,
+    std::vector<rma::ReadVEntry> reads, std::vector<rma::ScarVEntry> scars,
+    trace::SpanId span, std::shared_ptr<sim::Channel<ShardBatch>> results) {
+  co_await AcquireIssueSlot(shard);
+  co_await ChargeIssueCpu();
+  ShardBatch b;
+  b.shard = shard;
+  b.ways = ways;
+  ++stats_.batch_vector_ops;
+  if (!scars.empty()) {
+    stats_.batch_vector_entries += static_cast<int64_t>(scars.size());
+    auto r = co_await transport_->ScanAndReadV(host_, target, std::move(scars),
+                                               span);
+    if (r.ok()) {
+      b.scars = *std::move(r);
+    } else {
+      b.status = r.status();
+    }
+  } else {
+    stats_.batch_vector_entries += static_cast<int64_t>(reads.size());
+    auto r = co_await transport_->ReadV(host_, target, std::move(reads), span);
+    if (r.ok()) {
+      b.buckets = *std::move(r);
+    } else {
+      b.status = r.status();
+    }
+  }
+  ReleaseIssueSlot(shard);
+  results->Send(std::move(b));
+}
+
+sim::Task<std::optional<Client::ShardBatch>> Client::NextVector(
+    VectorRound& round, sim::Time deadline_at) {
+  if (round.pending <= 0) co_return std::nullopt;
+  const sim::Duration remaining = deadline_at - sim_.now();
+  if (remaining <= 0) co_return std::nullopt;
+  auto b = co_await round.results->RecvFor(remaining);
+  if (!b) co_return std::nullopt;
+  --round.pending;
+  // Validation CPU is charged once per vector, not once per key — the
+  // second half of the batching amortization.
+  co_await ChargeValidateCpu();
+  co_return b;
+}
+
 sim::Task<void> Client::AcquireIssueSlot(uint32_t shard) {
   IssueGate& gate = issue_gates_[shard];
   if (!gate.slots) {
     gate.slots = std::make_shared<sim::Channel<bool>>(sim_);
-    const int cap = std::max(1, config_.batch_max_inflight_per_backend);
-    for (int i = 0; i < cap; ++i) gate.slots->Send(true);
+    for (int i = 0; i < kBatchMaxInflightPerBackend; ++i) {
+      gate.slots->Send(true);
+    }
   }
   auto slots = gate.slots;  // keep alive across the await
   if (slots->empty()) ++stats_.batch_inflight_waits;
   (void)co_await slots->Recv();
   // Pace consecutive issues toward the same backend: each issue reserves
-  // the next batch_issue_gap-wide slot on the shard's pacing clock.
+  // the next kBatchIssueGap-wide slot on the shard's pacing clock.
   IssueGate& g = issue_gates_[shard];
   const sim::Time now = sim_.now();
   if (g.next_issue_at > now) {
     const sim::Duration wait = g.next_issue_at - now;
-    g.next_issue_at += config_.batch_issue_gap;
+    g.next_issue_at += kBatchIssueGap;
     co_await sim_.Delay(wait);
   } else {
-    g.next_issue_at = now + config_.batch_issue_gap;
+    g.next_issue_at = now + kBatchIssueGap;
   }
 }
 
@@ -1243,19 +1199,10 @@ sim::Task<StatusOr<GetResult>> Client::GetOnce(const std::string& key,
   const int quorum = QuorumSize(view_.mode);
   const uint32_t primary = PrimaryShard(ctx.hash, n);
 
-  // (if/else rather than switch: gcc 12 miscompiles co_await in case
-  // blocks; see sim/sync.h.)
   if (ctx.strategy == LookupStrategy::kRpc || transport_ == nullptr) {
     co_return co_await GetViaRpc(key, primary, ctx);
   }
-  bool use_scar;
-  if (ctx.strategy == LookupStrategy::kScar) {
-    use_scar = true;
-  } else if (ctx.strategy == LookupStrategy::kTwoR) {
-    use_scar = false;
-  } else {
-    use_scar = transport_->SupportsScar();
-  }
+  const bool use_scar = UseScar(ctx);
 
   // 1-RMA fast path: a location-cache hit answers with one direct data
   // read, fully validated end-to-end; anything short of a validated hit
@@ -1271,60 +1218,24 @@ sim::Task<StatusOr<GetResult>> Client::GetOnce(const std::string& key,
     }
   }
 
-  // Select live replicas (immutable R=2 consults one; failover handles the
-  // rest, §6.4).
-  std::vector<uint32_t> targets;
-  for (int r = 0; r < replicas; ++r) {
-    const uint32_t shard = ReplicaShard(primary, r, n);
-    if (conns_.size() <= shard) conns_.resize(n);
-    if (conns_[shard].dead_until > sim_.now()) continue;
-    targets.push_back(shard);
-  }
-  if (view_.mode == ReplicationMode::kR2Immutable && targets.size() > 1) {
-    // Only one replica need be consulted; spread load by client id, but
-    // prefer replicas without a recent connection failure (failover, §6.4).
-    std::vector<uint32_t> healthy;
-    for (uint32_t shard : targets) {
-      const Conn& conn = conns_[shard];
-      if (conn.connected || !conn.ever_failed) healthy.push_back(shard);
-    }
-    if (!healthy.empty()) targets = std::move(healthy);
-    targets = {targets[config_.client_id % targets.size()]};
-  }
+  std::vector<uint32_t> targets = SelectReplicas(primary, n, replicas);
   if (static_cast<int>(targets.size()) < quorum) {
     co_return UnavailableError("not enough live replicas");
   }
 
-  // Connect any unconnected target (RPC Info handshake). First-time
-  // connections happen inline; *re*-connections to replicas that failed
-  // before are probed off the serving path ("clients only send two out of
-  // three operations per GET, as they await reconnect", §7.2.3) so a dead
-  // replica's connect timeout never blocks a quorum read.
+  // Connect any unconnected target (RPC Info handshake), in replica order.
+  // First-time connections happen inline; reconnections are probed off the
+  // serving path (see CheckConnection).
   {
     std::vector<uint32_t> connected;
     connected.reserve(targets.size());
     for (uint32_t shard : targets) {
-      const Conn& conn = conns_[shard];
-      if (conn.connected && conn.config_id == view_.shard_config_ids[shard] &&
-          conn.host == view_.shard_hosts[shard]) {
-        connected.push_back(shard);
-        continue;
+      const ConnReadiness c = CheckConnection(shard);
+      bool ok = c == ConnReadiness::kReady;
+      if (c == ConnReadiness::kConnect) {
+        ok = (co_await EnsureConnected(shard)).ok();
       }
-      if (conn.ever_failed) {
-        if (!conn.probe_in_flight) {
-          conns_[shard].probe_in_flight = true;
-          sim_.Spawn([](Client* self, uint32_t shard,
-                        std::shared_ptr<bool> alive) -> sim::Task<void> {
-            (void)co_await self->EnsureConnected(shard);
-            if (*alive && shard < self->conns_.size()) {
-              self->conns_[shard].probe_in_flight = false;
-            }
-          }(this, shard, alive_));
-        }
-        continue;
-      }
-      Status s = co_await EnsureConnected(shard);
-      if (s.ok()) connected.push_back(shard);
+      if (ok) connected.push_back(shard);
     }
     targets = std::move(connected);
     if (static_cast<int>(targets.size()) < quorum) {
@@ -1344,21 +1255,16 @@ sim::Task<StatusOr<GetResult>> Client::GetOnce(const std::string& key,
       if (e > 0.0 && (best == 0.0 || e < best)) best = e;
     }
     if (best > 0.0) {
-      std::vector<uint32_t> kept;
-      std::vector<uint32_t> slow;
-      for (uint32_t shard : targets) {
-        if (conns_[shard].lat_ewma_ns > config_.slow_eject_factor * best) {
-          slow.push_back(shard);
-        } else {
-          kept.push_back(shard);
-        }
-      }
-      while (static_cast<int>(kept.size()) < quorum && !slow.empty()) {
-        kept.push_back(slow.front());
-        slow.erase(slow.begin());
-      }
-      stats_.slow_ejections += static_cast<int64_t>(slow.size());
-      targets = std::move(kept);
+      // Fast replicas first, then outliers, each in replica order; keep
+      // the fast ones, topped up with outliers to quorum size.
+      const auto outliers = std::stable_partition(
+          targets.begin(), targets.end(), [&](uint32_t shard) {
+            return !(conns_[shard].lat_ewma_ns > kSlowEjectFactor * best);
+          });
+      const size_t kept = std::max<size_t>(
+          size_t(quorum), size_t(outliers - targets.begin()));
+      stats_.slow_ejections += static_cast<int64_t>(targets.size() - kept);
+      targets.resize(kept);
     }
   }
 
@@ -1369,28 +1275,13 @@ sim::Task<StatusOr<GetResult>> Client::GetOnce(const std::string& key,
                           ctx));
   }
 
-  struct VersionCount {
-    int count = 0;
-    IndexVote vote;    // a representative quorum member
-    IndexVote second;  // a second member, the hedge target (set at count 2)
-  };
-  std::vector<std::pair<VersionNumber, VersionCount>> tallies;
-  int absence_votes = 0;
-  bool absence_overflow = false;
+  using Verdict = VoteTally::Verdict;
+  VoteTally tally;
   int received = 0;
-  int failures = 0;
   bool config_mismatch = false;
   std::optional<IndexVote> preferred;  // first successful responder
   sim::OneShot<StatusOr<GetResult>> speculative_data(sim_);
   bool speculative_started = false;
-
-  auto quorum_of = [&](const VersionNumber& v) -> VersionCount* {
-    for (auto& [version, vc] : tallies) {
-      if (version == v) return &vc;
-    }
-    tallies.emplace_back(v, VersionCount{});
-    return &tallies.back().second;
-  };
 
   while (received < static_cast<int>(targets.size())) {
     const sim::Duration remaining = ctx.deadline_at - sim_.now();
@@ -1399,54 +1290,32 @@ sim::Task<StatusOr<GetResult>> Client::GetOnce(const std::string& key,
     if (!maybe_vote) co_return DeadlineExceededError("quorum wait");
     IndexVote vote = *std::move(maybe_vote);
     ++received;
-
-    if (!vote.status.ok()) {
-      ++failures;
-      if (vote.status.code() == StatusCode::kPermissionDenied) {
-        ++stats_.window_errors;
-        if (vote.shard < conns_.size()) {
-          conns_[vote.shard].connected = false;  // re-handshake next attempt
-        }
-      } else if (vote.status.code() == StatusCode::kUnavailable ||
-                 vote.status.code() == StatusCode::kUnimplemented) {
-        NoteReplicaFailure(vote.shard);
-      } else if (vote.status.code() == StatusCode::kFailedPrecondition) {
-        config_mismatch = true;
-      } else if (vote.status.code() == StatusCode::kDeadlineExceeded) {
-        // A lost RMA op (fault injection): the replica itself may be fine,
-        // so no replica backoff — the op-level retry loop handles it.
-        ++stats_.op_timeouts;
-      }
-      if (static_cast<int>(targets.size()) - failures < quorum) {
-        // Quorum impossible this attempt.
-        if (config_mismatch) co_return FailedPreconditionError("config");
-        co_return UnavailableError("too many replica failures");
-      }
-      continue;
+    if (vote.status.code() == StatusCode::kFailedPrecondition) {
+      config_mismatch = true;
     }
+    const Verdict verdict = CountVote(
+        tally, vote, static_cast<int>(targets.size()), quorum);
+    if (verdict == Verdict::kImpossible) {
+      // Quorum impossible this attempt.
+      if (config_mismatch) co_return FailedPreconditionError("config");
+      co_return UnavailableError("too many replica failures");
+    }
+    if (!vote.status.ok()) continue;
 
     if (!preferred) preferred = vote;
 
-    if (!vote.has_entry) {
-      ++absence_votes;
-      absence_overflow |= vote.overflow;
-      if (absence_votes >= quorum) {
-        // Miss quorum: whatever the cache thought it knew about this key
-        // is gone from the index (misses are never cached).
-        loccache_.Invalidate(ctx.hash);
-        // The overflow bit may still route us to RPC (§4.2).
-        if (absence_overflow && config_.follow_overflow_fallback) {
-          co_return co_await GetViaRpc(key, vote.shard, ctx);
-        }
-        co_return NotFoundError("absence quorum");
+    if (verdict == Verdict::kAbsent) {
+      // Miss quorum: whatever the cache thought it knew about this key
+      // is gone from the index (misses are never cached).
+      loccache_.Invalidate(ctx.hash);
+      // The overflow bit may still route us to RPC (§4.2).
+      if (tally.overflow) {
+        co_return co_await GetViaRpc(key, vote.shard, ctx);
       }
-      continue;
+      co_return NotFoundError("absence quorum");
     }
-
-    VersionCount* vc = quorum_of(vote.entry.version);
-    vc->count++;
-    if (vc->count == 1) vc->vote = vote;
-    if (vc->count == 2) vc->second = vote;
+    if (!vote.has_entry) continue;
+    VoteTally::Version* vc = tally.last;
 
     // Speculative data fetch from the preferred backend (2xR): issued as
     // soon as the first index response lands, before the quorum resolves.
@@ -1460,21 +1329,20 @@ sim::Task<StatusOr<GetResult>> Client::GetOnce(const std::string& key,
       }(this, key, vote.shard, vote.entry, ctx, speculative_data));
     }
 
-    if (vc->count >= quorum) {
+    if (verdict == Verdict::kQuorum) {
       const VersionNumber v = vote.entry.version;
       // Hit condition (4): the data must come from a quorum member.
       const bool preferred_in_quorum =
           preferred->has_entry && preferred->entry.version == v;
       if (use_scar) {
-        const IndexVote& source = preferred_in_quorum ? *preferred : vc->vote;
+        const IndexVote& source = preferred_in_quorum ? *preferred : vc->first;
         if (!preferred_in_quorum) ++stats_.preferred_mismatch;
         if (source.scar_data.empty()) {
           ++stats_.torn_reads;  // pointer raced an eviction/mutation
           co_return AbortedError("scar returned no data");
         }
         const sim::Time v_start = sim_.now();
-        stats_.validate_cpu_ns += config_.validate_cpu;
-        co_await fabric_.host(host_).cpu().Run(config_.validate_cpu);
+        co_await ChargeValidateCpu();
         fabric_.tracer().AddSpan("validate", ctx.span, v_start, sim_.now(),
                                  host_);
         auto res = ValidateData(source.scar_data, key, ctx.hash, v);
@@ -1482,24 +1350,22 @@ sim::Task<StatusOr<GetResult>> Client::GetOnce(const std::string& key,
         co_return res;
       }
       if (preferred_in_quorum && speculative_started) {
-        const sim::Duration rem = ctx.deadline_at - sim_.now();
+        sim::Duration rem = ctx.deadline_at - sim_.now();
         if (rem <= 0) co_return DeadlineExceededError("data wait");
-        if (ctx.hedge && vc->count >= 2) {
-          // Hedged fetch: give the in-flight speculative read `hedge_delay`
-          // to resolve, then race a second fetch against another quorum
-          // member through the same OneShot (first Set wins, the loser's
-          // read completes and is discarded — one-sided ops can't cancel).
-          auto data = co_await speculative_data.WaitFor(
-              std::min(rem, config_.hedge_delay));
-          if (data) {
-            if (data->ok()) CacheWinningVote(ctx.hash, *preferred, ctx);
-            co_return *std::move(data);
-          }
-          const sim::Duration rem2 = ctx.deadline_at - sim_.now();
-          if (rem2 <= 0) co_return DeadlineExceededError("data wait");
+        // Hedged fetch: give the in-flight speculative read `hedge_delay`
+        // to resolve, then race a second fetch against another quorum
+        // member through the same OneShot (first Set wins, the loser's
+        // read completes and is discarded — one-sided ops can't cancel).
+        const bool hedge = config_.hedge_reads && vc->count >= 2;
+        auto data = co_await speculative_data.WaitFor(
+            hedge ? std::min(rem, config_.hedge_delay) : rem);
+        const IndexVote* server = &*preferred;  // who served the bytes
+        if (!data && hedge) {
+          rem = ctx.deadline_at - sim_.now();
+          if (rem <= 0) co_return DeadlineExceededError("data wait");
           ++stats_.hedged_reads;
-          const IndexVote& alt = (vc->vote.replica != preferred->replica)
-                                     ? vc->vote
+          const IndexVote& alt = (vc->first.replica != preferred->replica)
+                                     ? vc->first
                                      : vc->second;
           auto hedge_won = std::make_shared<bool>(false);
           sim_.Spawn([](Client* self, std::string key, uint32_t shard,
@@ -1515,27 +1381,23 @@ sim::Task<StatusOr<GetResult>> Client::GetOnce(const std::string& key,
             }
           }(this, key, alt.shard, alt.entry, ctx, speculative_data,
             hedge_won));
-          auto raced = co_await speculative_data.WaitFor(rem2);
-          if (!raced) co_return DeadlineExceededError("data wait");
-          if (*hedge_won) ++stats_.hedge_wins;
-          if (raced->ok()) {
-            // Cache whichever quorum member actually served the bytes.
-            CacheWinningVote(ctx.hash, *hedge_won ? alt : *preferred, ctx);
+          data = co_await speculative_data.WaitFor(rem);
+          if (!data) co_return DeadlineExceededError("data wait");
+          if (*hedge_won) {
+            ++stats_.hedge_wins;
+            server = &alt;
           }
-          co_return *std::move(raced);
         }
-        auto data = co_await speculative_data.WaitFor(rem);
         if (!data) co_return DeadlineExceededError("data wait");
-        if (data->ok()) CacheWinningVote(ctx.hash, *preferred, ctx);
+        // Cache whichever quorum member actually served the bytes.
+        if (data->ok()) CacheWinningVote(ctx.hash, *server, ctx);
         co_return *std::move(data);
       }
       // Preferred not in quorum: fetch from a quorum member instead.
       ++stats_.preferred_mismatch;
-      {
-        auto res = co_await FetchData(key, vc->vote.shard, vc->vote.entry, ctx);
-        if (res.ok()) CacheWinningVote(ctx.hash, vc->vote, ctx);
-        co_return res;
-      }
+      auto res = co_await FetchData(key, vc->first.shard, vc->first.entry, ctx);
+      if (res.ok()) CacheWinningVote(ctx.hash, vc->first, ctx);
+      co_return res;
     }
   }
 
@@ -1544,16 +1406,13 @@ sim::Task<StatusOr<GetResult>> Client::GetOnce(const std::string& key,
   ++stats_.inquorate;
   // If an absence vote carried the bucket-overflow bit, the key may be
   // RPC-servable there even though no RMA quorum formed (§4.2).
-  if (absence_overflow && config_.follow_overflow_fallback) {
+  if (tally.overflow) {
     auto via_rpc = co_await GetViaRpc(key, targets[0], ctx);
     if (via_rpc.ok()) co_return via_rpc;
   }
   co_return AbortedError("inquorate");
 }
 
-// Decodes one bucket read into a vote: short-read guard, config-id fence,
-// overflow bit, and the way scan. Shared by the single-key FetchIndex and
-// the batched index phase (which validates whole vectors of these).
 Status Client::DecodeBucketVote(const BufferView& bucket_bytes, uint32_t shard,
                                 const Hash128& hash, uint32_t ways,
                                 IndexVote* vote) const {
@@ -1598,61 +1457,48 @@ sim::Task<void> Client::FetchIndex(
   trace::Tracer& tracer = fabric_.tracer();
   // arg at End: replica index on success, -1 on failure.
   const trace::SpanId span = tracer.Begin("quorum_fetch", ctx.span, host_);
-  stats_.issue_cpu_ns += config_.issue_cpu;
-  co_await fabric_.host(host_).cpu().Run(config_.issue_cpu);
-  const uint64_t bucket = BucketIndex(ctx.hash, conn.num_buckets);
-  const uint64_t offset = bucket * BucketBytes(conn.ways);
-  const auto length = static_cast<uint32_t>(BucketBytes(conn.ways));
+  co_await ChargeIssueCpu();
+  const rma::ReadVEntry window = BucketWindow(conn, ctx.hash);
 
   BufferView bucket_bytes;
   if (use_scar) {
     auto r = co_await transport_->ScanAndRead(
-        host_, conn.host, conn.index_region, offset, length, ctx.hash.hi,
-        ctx.hash.lo, span);
-    if (!r.ok()) {
+        host_, conn.host, window.region, window.offset, window.length,
+        ctx.hash.hi, ctx.hash.lo, span);
+    if (r.ok()) {
+      bucket_bytes = std::move(r->bucket);
+      vote.scar_data = std::move(r->data);
+    } else {
       vote.status = r.status();
-      tracer.End(span, -1);
-      votes->Send(std::move(vote));
-      co_return;
     }
-    bucket_bytes = std::move(r->bucket);
-    vote.scar_data = std::move(r->data);
   } else {
-    auto r = co_await transport_->Read(host_, conn.host, conn.index_region,
-                                       offset, length, span);
-    if (!r.ok()) {
+    auto r = co_await transport_->Read(host_, conn.host, window.region,
+                                       window.offset, window.length, span);
+    if (r.ok()) {
+      bucket_bytes = *std::move(r);
+    } else {
       vote.status = r.status();
-      tracer.End(span, -1);
-      votes->Send(std::move(vote));
-      co_return;
     }
-    bucket_bytes = *std::move(r);
   }
 
-  const sim::Time v_start = sim_.now();
-  stats_.validate_cpu_ns += config_.validate_cpu;
-  co_await fabric_.host(host_).cpu().Run(config_.validate_cpu);
-  tracer.AddSpan("validate", span, v_start, sim_.now(), host_);
-  if (Status s =
-          DecodeBucketVote(bucket_bytes, shard, ctx.hash, conn.ways, &vote);
-      !s.ok()) {
-    vote.status = std::move(s);
-    tracer.End(span, -1);
-    votes->Send(std::move(vote));
-    co_return;
+  if (vote.status.ok()) {
+    const sim::Time v_start = sim_.now();
+    co_await ChargeValidateCpu();
+    tracer.AddSpan("validate", span, v_start, sim_.now(), host_);
+    vote.status =
+        DecodeBucketVote(bucket_bytes, shard, ctx.hash, conn.ways, &vote);
   }
   // Feed the replica's latency EWMA (outlier ejection input). Successful
   // fetches only: failures are handled by the backoff machinery.
-  if (shard < conns_.size()) {
+  if (vote.status.ok() && shard < conns_.size()) {
     Conn& live = conns_[shard];
     const double sample = static_cast<double>(sim_.now() - fetch_start);
     live.lat_ewma_ns = live.lat_ewma_ns == 0.0
                            ? sample
-                           : config_.ewma_alpha * sample +
-                                 (1.0 - config_.ewma_alpha) * live.lat_ewma_ns;
+                           : kEwmaAlpha * sample +
+                                 (1.0 - kEwmaAlpha) * live.lat_ewma_ns;
   }
-  vote.status = OkStatus();
-  tracer.End(span, replica);
+  tracer.End(span, vote.status.ok() ? replica : -1);
   votes->Send(std::move(vote));
 }
 
@@ -1664,24 +1510,17 @@ sim::Task<StatusOr<GetResult>> Client::FetchData(const std::string& key,
   const Conn conn = conns_[shard];
   trace::Tracer& tracer = fabric_.tracer();
   const trace::SpanId span = tracer.Begin("data_fetch", ctx.span, host_);
-  stats_.issue_cpu_ns += config_.issue_cpu;
-  co_await fabric_.host(host_).cpu().Run(config_.issue_cpu);
+  co_await ChargeIssueCpu();
   auto r = co_await transport_->Read(host_, conn.host, entry.pointer.region,
                                      entry.pointer.offset, entry.pointer.size,
                                      span);
   if (!r.ok()) {
-    if (r.status().code() == StatusCode::kPermissionDenied) {
-      ++stats_.window_errors;
-      if (shard < conns_.size()) conns_[shard].connected = false;
-    } else if (r.status().code() == StatusCode::kDeadlineExceeded) {
-      ++stats_.op_timeouts;
-    }
+    NoteReadFailure(r.status(), shard);
     tracer.End(span, -1);
     co_return r.status();
   }
   const sim::Time v_start = sim_.now();
-  stats_.validate_cpu_ns += config_.validate_cpu;
-  co_await fabric_.host(host_).cpu().Run(config_.validate_cpu);
+  co_await ChargeValidateCpu();
   tracer.AddSpan("validate", span, v_start, sim_.now(), host_);
   tracer.End(span, static_cast<int64_t>(r->size()));
   co_return ValidateData(*r, key, ctx.hash, entry.version);
@@ -1744,7 +1583,7 @@ void Client::CacheWinningVote(const Hash128& hash, const IndexVote& vote,
   // Never cached: overflow-flagged buckets (the RPC path may supersede the
   // RMA-visible entry) and anything learned during a resharding window
   // (it would only be flushed at the window edge anyway).
-  if (!ctx.speculate || loccache_.capacity() == 0) return;
+  if (!ctx.speculate) return;
   if (!vote.has_entry || vote.overflow) return;
   if (view_.transition) return;
   if (vote.shard >= conns_.size() || !conns_[vote.shard].connected) return;
@@ -1760,62 +1599,30 @@ void Client::CacheWinningVote(const Hash128& hash, const IndexVote& vote,
 
 sim::Task<std::optional<GetResult>> Client::SpeculativeGet(
     const std::string& key, const OpContext& ctx) {
-  const CachedLocation* hit = loccache_.Lookup(ctx.hash, sim_.now());
-  if (hit == nullptr) co_return std::nullopt;
-  const CachedLocation loc = *hit;  // copy out before any await
-  // The location is only servable over the connection it was learned on:
-  // same shard, same serving host, same config generation.
-  if (loc.shard >= conns_.size() || loc.shard >= view_.num_shards()) {
-    loccache_.Invalidate(ctx.hash);
-    co_return std::nullopt;
-  }
-  const Conn conn = conns_[loc.shard];
-  if (!conn.connected || conn.config_id != loc.config_id ||
-      conn.config_id != view_.shard_config_ids[loc.shard] ||
-      conn.host != view_.shard_hosts[loc.shard]) {
-    loccache_.Invalidate(ctx.hash);
-    co_return std::nullopt;
-  }
+  const std::optional<CachedLocation> loc = ServableLocation(ctx.hash);
+  if (!loc) co_return std::nullopt;
+  const net::HostId target = conns_[loc->shard].host;
 
   ++stats_.loccache_speculative_reads;
   trace::Tracer& tracer = fabric_.tracer();
   const trace::SpanId span = tracer.Begin("spec_read", ctx.span, host_);
-  stats_.issue_cpu_ns += config_.issue_cpu;
-  co_await fabric_.host(host_).cpu().Run(config_.issue_cpu);
-  auto r = co_await transport_->Read(host_, conn.host, loc.pointer.region,
-                                     loc.pointer.offset, loc.pointer.size,
+  co_await ChargeIssueCpu();
+  auto r = co_await transport_->Read(host_, target, loc->pointer.region,
+                                     loc->pointer.offset, loc->pointer.size,
                                      span);
-  if (!r.ok()) {
-    // Same fault bookkeeping as FetchData; the quorum path (never a retry
-    // of the speculation itself) takes over.
-    if (r.status().code() == StatusCode::kPermissionDenied) {
-      ++stats_.window_errors;
-      if (loc.shard < conns_.size()) conns_[loc.shard].connected = false;
-    } else if (r.status().code() == StatusCode::kDeadlineExceeded) {
-      ++stats_.op_timeouts;
-    }
-    ++stats_.loccache_speculative_failures;
-    spec_governor_.Record(false, sim_.now());
-    loccache_.Invalidate(ctx.hash);
-    tracer.End(span, -1);
-    co_return std::nullopt;
+  if (r.ok()) {
+    const sim::Time v_start = sim_.now();
+    co_await ChargeValidateCpu();
+    tracer.AddSpan("validate", span, v_start, sim_.now(), host_);
   }
-  const sim::Time v_start = sim_.now();
-  stats_.validate_cpu_ns += config_.validate_cpu;
-  co_await fabric_.host(host_).cpu().Run(config_.validate_cpu);
-  tracer.AddSpan("validate", span, v_start, sim_.now(), host_);
-  auto res = ValidateSpeculative(*r, key, ctx.hash, loc.version);
+  StatusOr<GetResult> res =
+      r.ok() ? ValidateSpeculative(*r, key, ctx.hash, loc->version)
+             : StatusOr<GetResult>(r.status());
+  RecordSpeculation(ctx.hash, loc->shard, res);
   if (!res.ok()) {
-    ++stats_.loccache_speculative_failures;
-    spec_governor_.Record(false, sim_.now());
-    loccache_.Invalidate(ctx.hash);
     tracer.End(span, -1);
     co_return std::nullopt;
   }
-  spec_governor_.Record(true, sim_.now());
-  // The observed version becomes the new floor: this client can never be
-  // served anything older through this entry again.
-  loccache_.RaiseVersionFloor(ctx.hash, res->version);
   tracer.End(span, static_cast<int64_t>(res->value.size()));
   co_return *std::move(res);
 }
@@ -1841,11 +1648,9 @@ sim::Task<StatusOr<GetResult>> Client::GetViaRpc(const std::string& key,
   auto resp = co_await ch.Call(proto::kMethodGet, std::move(w).Take(),
                                remaining, ctx.span);
   if (!resp.ok()) co_return resp.status();
-  rpc::WireReader r(*resp);
-  auto value = r.GetBytes(proto::kTagValue);
-  auto version = proto::GetVersion(r);
-  if (!value || !version) co_return InternalError("malformed Get response");
-  co_return GetResult{Bytes(value->begin(), value->end()), *version};
+  std::optional<GetResult> got = DecodeRpcValue(rpc::WireReader(*resp));
+  if (!got) co_return InternalError("malformed Get response");
+  co_return *std::move(got);
 }
 
 sim::Task<StatusOr<GetResult>> Client::PrevWindowGet(const std::string& key,
@@ -1882,11 +1687,10 @@ sim::Task<StatusOr<GetResult>> Client::PrevWindowGet(const std::string& key,
       if (resp.status().code() != StatusCode::kNotFound) last = resp.status();
       continue;
     }
-    rpc::WireReader rr(*resp);
-    auto value = rr.GetBytes(proto::kTagValue);
-    auto version = proto::GetVersion(rr);
-    if (!value || !version) continue;
-    co_return GetResult{Bytes(value->begin(), value->end()), *version};
+    if (std::optional<GetResult> got = DecodeRpcValue(rpc::WireReader(*resp))) {
+      ++stats_.prev_window_gets;
+      co_return *std::move(got);
+    }
   }
   co_return last.code() == StatusCode::kNotFound
       ? NotFoundError("absent at previous owners")
@@ -1921,7 +1725,7 @@ sim::Task<StatusOr<GetResult>> Client::DegradedGet(const std::string& key,
     // The main attempt usually arrives here with the op deadline already
     // spent; grant each probe a small grace budget.
     const sim::Duration remaining = std::max<sim::Duration>(
-        ctx.deadline_at - sim_.now(), config_.degraded_probe_grace);
+        ctx.deadline_at - sim_.now(), kDegradedProbeGrace);
     rpc::RpcChannel ch(rpc_network_, host_, view.shard_hosts[shard]);
     auto resp =
         co_await ch.Call(proto::kMethodDegradedGet, request, remaining,
@@ -1932,12 +1736,8 @@ sim::Task<StatusOr<GetResult>> Client::DegradedGet(const std::string& key,
     const auto code = rr.GetU32(proto::kTagStatusCode);
     if (!code) continue;
     if (static_cast<StatusCode>(*code) == StatusCode::kOk) {
-      auto value = rr.GetBytes(proto::kTagValue);
-      auto version = proto::GetVersion(rr);
-      if (!value || !version) continue;
-      if (!best || *version > best->version) {
-        best = GetResult{Bytes(value->begin(), value->end()), *version};
-      }
+      std::optional<GetResult> got = DecodeRpcValue(rr);
+      if (got && (!best || got->version > best->version)) best = std::move(got);
     } else if (auto tomb = proto::GetVersion(rr, proto::kTagTombstoneTt)) {
       // The replica is live but the key is absent *with a remembered erase
       // version*: a quorum-committed ERASE must win over any stale copy a

@@ -42,30 +42,13 @@ struct ClientConfig {
   LookupStrategy strategy = LookupStrategy::kAuto;
   sim::Duration op_deadline = sim::Milliseconds(10);
   int max_retries = 8;
-  // A replica that failed a connection is skipped while it backs off
-  // ("clients only send two out of three operations per GET, as they await
-  // reconnect", §7.2.3). `replica_backoff` is the *base*: the actual skip
-  // interval uses decorrelated jitter in [base, replica_backoff_max], growing
-  // with consecutive failures, so a fleet of clients does not re-probe a
-  // recovering backend in lockstep (retry incast).
-  sim::Duration replica_backoff = sim::Milliseconds(200);
-  sim::Duration replica_backoff_max = sim::Seconds(2);
-
-  // Between GET retry attempts under transient faults the client sleeps a
-  // full-jittered exponential backoff, bounded by the op deadline.
-  sim::Duration retry_backoff_base = sim::Microseconds(50);
-  sim::Duration retry_backoff_max = sim::Milliseconds(2);
 
   // Access recording (§4.2).
   sim::Duration touch_flush_interval = sim::Milliseconds(50);
-  size_t touch_batch_max = 512;
 
   // Client-library CPU per RMA op / per validation (Figs 6b, 7).
   sim::Duration issue_cpu = sim::Nanoseconds(400);
   sim::Duration validate_cpu = sim::Nanoseconds(250);
-
-  // Use the bucket overflow RPC fallback when the overflow bit is set.
-  bool follow_overflow_fallback = true;
 
   // Transparent client-side value compression (§9 lists compression among
   // the features delivered post-launch). All clients of a corpus must
@@ -82,11 +65,10 @@ struct ClientConfig {
   // EWMA, and both are off by default (determinism-pinned tests run with
   // the untouched selection/fetch schedule).
   //
-  // Outlier ejection drops replicas whose EWMA exceeds `slow_eject_factor`
-  // x the fastest live replica from the fan-out — never below quorum size.
+  // Outlier ejection drops replicas whose EWMA exceeds a fixed factor
+  // (kSlowEjectFactor in client.cc) x the fastest live replica from the
+  // fan-out — never below quorum size.
   bool eject_slow_replicas = false;
-  double ewma_alpha = 0.2;
-  double slow_eject_factor = 4.0;
   // Hedged data fetch: if the speculative data fetch has not resolved
   // `hedge_delay` after the quorum formed, issue a second fetch against
   // another quorum member; first result wins, the loser is dropped (the
@@ -99,9 +81,6 @@ struct ClientConfig {
   // Interval for the optional background config watcher (StartConfigWatcher)
   // that keeps the view fresh across reconfiguration generations.
   sim::Duration config_watch_interval = sim::Milliseconds(50);
-  // During a dual-version window, a GET that misses under the new topology
-  // falls back to the previous owners (records may not have streamed yet).
-  bool prev_fallback = true;
 
   // Quorum-loss degraded reads (correlated failures) -------------------
   // When a GET cannot form a quorum (replicas unreachable, inquorate votes,
@@ -112,8 +91,6 @@ struct ClientConfig {
   // refused rather than roll back a version this client already quorumed.
   // Default off — fail-fast is the correct default for a cache.
   bool degraded_reads = false;
-  // Per-replica probe budget when the op deadline is already spent.
-  sim::Duration degraded_probe_grace = sim::Milliseconds(1);
 
   // Batched MultiGet (incast-aware pipeline) ---------------------------
   // Coalesce a batch's index and data reads into one vectored RMA op per
@@ -121,11 +98,6 @@ struct ClientConfig {
   // RPC strategy, no transport, resharding window) falls back to the naive
   // concurrent fan-out.
   bool batch_multiget = true;
-  // Incast guard: at most this many in-flight vectored ops per backend...
-  int batch_max_inflight_per_backend = 2;
-  // ...and consecutive issues toward the same backend are paced at least
-  // this far apart, so a large batch does not burst-solicit one host.
-  sim::Duration batch_issue_gap = sim::Microseconds(2);
 
   // 1-RMA speculative GET path -----------------------------------------
   // Location cache + speculative direct reads (on by default): a GET whose
@@ -135,8 +107,6 @@ struct ClientConfig {
   // Per-op override: GetOptions::speculate. Forced off inside the
   // resharding dual-version window and the PrevWindowGet fallback.
   bool speculate = true;
-  // Location-cache LRU entry cap; 0 disables the cache (and speculation).
-  size_t loccache_entries = 4096;
   // Freshness lease on cached locations: a hit older than this re-quorums
   // (and re-populates) instead of speculating. Bounds staleness — a freed
   // DataEntry keeps its bytes until the slab recycles the chunk, so CRC +
@@ -145,13 +115,6 @@ struct ClientConfig {
   // for read-mostly hot-key workloads where hits arrive faster than the
   // lease expires. 0 = no expiry (trust validation alone).
   sim::Duration loccache_ttl = sim::Microseconds(200);
-  // Adaptive breaker: when the recent speculation failure ratio crosses
-  // the threshold (heavy churn → cached pointers mostly stale, each miss
-  // costs one wasted RMA read), speculation pauses for the cooldown.
-  double spec_disable_failure_ratio = 0.5;
-  int spec_min_samples = 16;
-  int spec_window_samples = 64;
-  sim::Duration spec_cooldown = sim::Milliseconds(50);
 
   // Multi-tenant QoS ---------------------------------------------------
   // Tenant this client's ops belong to. 0 (the untenanted default) stamps
@@ -181,13 +144,10 @@ struct GetOptions {
   sim::Duration deadline = 0;              // 0 → ClientConfig::op_deadline
   uint32_t tenant = 0;                     // 0 → ClientConfig::tenant
   std::optional<LookupStrategy> strategy;  // GET index-fetch strategy
-  std::optional<bool> hedge_reads;         // hedged data fetch (GET)
   std::optional<bool> batch;               // MultiGet: batched pipeline
   std::optional<bool> speculate;           // 1-RMA speculative fast path
-  std::optional<size_t> loccache_entries;  // resize the location cache
   std::optional<bool> degraded;            // sub-quorum degraded reads (GET)
 };
-using OpOptions = GetOptions;
 
 // Batch-level outcome of one MultiGet.
 struct MultiGetStats {
@@ -353,6 +313,22 @@ class Client {
     BufferView scar_data;       // SCAR only: piggybacked DataEntry bytes
   };
 
+  // One key's quorum state over the index votes seen so far (§5.1).
+  struct VoteTally {
+    struct Version {
+      VersionNumber version;
+      int count = 0;
+      IndexVote first;   // a representative quorum member
+      IndexVote second;  // another member, the hedge target (set at count 2)
+    };
+    enum class Verdict { kPending, kImpossible, kAbsent, kQuorum };
+    std::vector<Version> versions;
+    Version* last = nullptr;  // the version the last entry vote counted for
+    int absence = 0;
+    bool overflow = false;    // an absence vote saw the bucket-overflow bit
+    int failures = 0;
+  };
+
   // Internal per-op context: everything the GET/mutation internals used to
   // take as positional parameters, resolved once at the public entry point
   // from ClientConfig overlaid with GetOptions.
@@ -362,7 +338,6 @@ class Client {
     sim::Duration op_deadline = 0;  // per-attempt budget (mutation RPCs)
     trace::SpanId span = trace::kNoSpan;  // op root span
     LookupStrategy strategy = LookupStrategy::kAuto;
-    bool hedge = false;
     bool speculate = false;
     bool degraded = false;
     uint32_t tenant = 0;
@@ -370,8 +345,51 @@ class Client {
   OpContext MakeContext(const GetOptions& opts, trace::SpanId span) const;
 
   sim::Task<Status> RefreshConfig();
+  // Whether `shard` has a live handshake under the current view.
+  bool IsConnected(uint32_t shard) const;
   sim::Task<Status> EnsureConnected(uint32_t shard);
   void NoteReplicaFailure(uint32_t shard);
+
+  // Read steps shared by the single-key GET and the batched MultiGet
+  // pipeline. None of them awaits, so neither pipeline pays a coroutine
+  // frame for them; each caller keeps its own loop order, since the order
+  // of spawns, awaits and rng draws is part of the simulated event order.
+  //
+  // Whether the index fetch uses SCAR (else 2xR).
+  bool UseScar(const OpContext& ctx) const;
+  // The index bucket that may hold `hash` on the replica behind `conn`.
+  static rma::ReadVEntry BucketWindow(const Conn& conn, const Hash128& hash);
+  // The replicas of `primary`'s set that are not backing off; immutable
+  // R=2 consults one (failover handles the rest, §6.4).
+  std::vector<uint32_t> SelectReplicas(uint32_t primary, uint32_t n,
+                                       int replicas);
+  // How the serving path may use one replica's connection right now.
+  enum class ConnReadiness {
+    kReady,    // connected under the current view
+    kDown,     // not usable this op; a background probe may be reconnecting
+    kConnect,  // never failed: the caller awaits EnsureConnected inline
+  };
+  ConnReadiness CheckConnection(uint32_t shard);
+  // Bookkeeping after any failed one-sided read: a revoked window forces a
+  // re-handshake, a lost op counts as a timeout.
+  void NoteReadFailure(const Status& status, uint32_t shard);
+  // The quorum decision table: counts one vote from a fan-out to `targets`
+  // replicas. Failed votes get the read-failure bookkeeping.
+  VoteTally::Verdict CountVote(VoteTally& tally, const IndexVote& vote,
+                               int targets, int quorum);
+  // The cached location of `hash` if it is servable over the connection it
+  // was learned on; a stale entry is invalidated.
+  std::optional<CachedLocation> ServableLocation(const Hash128& hash);
+  // Feeds one speculative read's outcome to the breaker and the cache.
+  void RecordSpeculation(const Hash128& hash, uint32_t shard,
+                         const StatusOr<GetResult>& res);
+  // Per-key GET accounting: decompression, hit/miss/error counts, the touch
+  // record and latency (`num_shards` locates the key's primary).
+  void FinishGet(StatusOr<GetResult>& result, const Hash128& hash,
+                 uint32_t num_shards, sim::Time start);
+  // Client CPU work to await for issuing one RMA op / validating one read.
+  sim::Task<void> ChargeIssueCpu();
+  sim::Task<void> ChargeValidateCpu();
 
   // One GET attempt; kAborted-class results are retried by Get().
   sim::Task<StatusOr<GetResult>> GetOnce(const std::string& key,
@@ -433,12 +451,42 @@ class Client {
   Status DecodeBucketVote(const BufferView& bucket_bytes, uint32_t shard,
                           const Hash128& hash, uint32_t ways,
                           IndexVote* vote) const;
+  // One single-key Get writing into a MultiGet result slot.
+  sim::Task<void> GetInto(std::string key, GetOptions opts,
+                          StatusOr<GetResult>* slot);
   // The coalesced pipeline behind MultiGet; `unique` maps result slots to
   // first-occurrence slots for duplicate keys.
   sim::Task<void> MultiGetBatched(const std::vector<std::string>& keys,
                                   const std::vector<size_t>& unique,
                                   GetOptions opts, OpContext ctx,
                                   MultiGetResult* out);
+  // One backend's share of a vectored op (speculative, index, or data
+  // phase), as delivered to the phase's receive loop.
+  struct ShardBatch {
+    uint32_t shard = 0;
+    uint32_t ways = 0;
+    Status status;  // whole-vector outcome (lost command/completion)
+    std::vector<StatusOr<BufferView>> buckets;     // ReadV
+    std::vector<StatusOr<rma::ScarResult>> scars;  // ScanAndReadV
+  };
+  // The vectored ops of one batch phase that are still in flight.
+  struct VectorRound {
+    std::shared_ptr<sim::Channel<ShardBatch>> results;
+    int pending = 0;
+  };
+  // Issues one vectored op toward `shard` through the incast gate:
+  // ScanAndReadV when `scars` is non-empty, else ReadV. Delivers the
+  // outcome (tagged with `shard` and `ways`) on `results`.
+  sim::Task<void> VectorOp(uint32_t shard, uint32_t ways, net::HostId target,
+                           std::vector<rma::ReadVEntry> reads,
+                           std::vector<rma::ScarVEntry> scars,
+                           trace::SpanId span,
+                           std::shared_ptr<sim::Channel<ShardBatch>> results);
+  // Receives the round's next completed vector before `deadline_at` and
+  // charges its validation CPU; nullopt once the round is drained or the
+  // deadline passes.
+  sim::Task<std::optional<ShardBatch>> NextVector(VectorRound& round,
+                                                  sim::Time deadline_at);
   // Incast-aware issue scheduler: a counting semaphore bounds in-flight
   // vectored ops per backend shard and a pacing clock spaces consecutive
   // issues toward the same shard.
@@ -479,8 +527,8 @@ class Client {
   uint32_t seq_ = 0;
 
   // Incast gate state, lazily created per backend shard. The Channel is a
-  // counting semaphore (pre-loaded with batch_max_inflight_per_backend
-  // tokens; Recv = acquire, Send = release) — FIFO, so waiters drain
+  // counting semaphore (pre-loaded with kBatchMaxInflightPerBackend tokens;
+  // Recv = acquire, Send = release) — FIFO, so waiters drain
   // deterministically.
   struct IssueGate {
     std::shared_ptr<sim::Channel<bool>> slots;

@@ -1125,7 +1125,9 @@ sim::Task<StatusOr<Bytes>> Backend::HandleTouch(ByteSpan req) {
   rpc::WireReader r(req);
   auto blob = r.GetBytes(proto::kTagRecords);
   if (!blob) co_return InvalidArgumentError("Touch: missing records");
-  for (const Hash128& h : proto::ParseTouchRecords(*blob)) {
+  auto hashes = proto::ParseTouchRecords(*blob);
+  if (!hashes.ok()) co_return hashes.status();
+  for (const Hash128& h : *hashes) {
     eviction_->OnTouch(h);
     // Touches drive the per-tenant LRU too: a tenant at its memory quota
     // evicts its own *least recently used* keys, and RMA GET recency only
@@ -1263,8 +1265,10 @@ sim::Task<StatusOr<Bytes>> Backend::HandleInstallBulk(ByteSpan req) {
   rpc::WireReader r(req);
   auto blob = r.GetBytes(proto::kTagRecords);
   if (!blob) co_return InvalidArgumentError("InstallBulk: missing records");
+  auto records = proto::ParseBulkRecords(*blob);
+  if (!records.ok()) co_return records.status();
   uint32_t accepted = 0;
-  for (const auto& rec : proto::ParseBulkRecords(*blob)) {
+  for (const auto& rec : *records) {
     if (rec.erased) {
       if (rec.key.empty()) {
         // Summary-version transfer (tombstone cache is approximated by its
@@ -1423,10 +1427,13 @@ sim::Task<void> Backend::RepairShardAgainstCohort(
     rpc::WireReader rr(*resp);
     auto blob = rr.GetBytes(proto::kTagRecords);
     if (!blob) continue;
-    responded[i + 1] = true;
-    for (const auto& rec : proto::ParseRepairRecords(*blob)) {
-      observe(i + 1, rec);
+    auto records = proto::ParseRepairRecords(*blob);
+    if (!records.ok()) {
+      ++stats_.repair_pull_failures;  // malformed reply: as if unreachable
+      continue;
     }
+    responded[i + 1] = true;
+    for (const auto& rec : *records) observe(i + 1, rec);
   }
   if (!serving_) co_return;
 

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "cliquemap/types.h"
+#include "common/status.h"
 #include "rpc/wire.h"
 
 namespace cm::cliquemap::proto {
@@ -139,6 +140,11 @@ inline std::optional<VersionNumber> GetVersion(
 // Packed repair records: (keyhash 16B, version 16B, flags u8) = 33 bytes.
 // Exchanged during cohort scans (§5.4) to detect missing/stale/erased keys
 // with minimal overhead.
+//
+// The Parse* decoders below are strict: a blob that is not an exact
+// sequence of whole records is an error, never a silently shortened list.
+// The fault model drops corrupt frames rather than shortening them, so only
+// a sender bug produces such a blob — which is when it should be loud.
 // ---------------------------------------------------------------------------
 
 inline constexpr size_t kRepairRecordBytes = 33;
@@ -161,11 +167,13 @@ inline void AppendRepairRecord(Bytes& out, const RepairRecord& r) {
   out[at + 32] = static_cast<std::byte>(r.erased ? kRepairFlagErased : 0);
 }
 
-inline std::vector<RepairRecord> ParseRepairRecords(ByteSpan blob) {
+inline StatusOr<std::vector<RepairRecord>> ParseRepairRecords(ByteSpan blob) {
+  if (blob.size() % kRepairRecordBytes != 0) {
+    return InvalidArgumentError("repair records: partial trailing record");
+  }
   std::vector<RepairRecord> out;
   out.reserve(blob.size() / kRepairRecordBytes);
-  for (size_t at = 0; at + kRepairRecordBytes <= blob.size();
-       at += kRepairRecordBytes) {
+  for (size_t at = 0; at < blob.size(); at += kRepairRecordBytes) {
     RepairRecord r;
     r.keyhash.hi = LoadU64(blob.data() + at + 0);
     r.keyhash.lo = LoadU64(blob.data() + at + 8);
@@ -179,17 +187,22 @@ inline std::vector<RepairRecord> ParseRepairRecords(ByteSpan blob) {
 }
 
 // Packed touch records: keyhash only (16B each).
+inline constexpr size_t kTouchRecordBytes = 16;
+
 inline void AppendTouchRecord(Bytes& out, const Hash128& h) {
   size_t at = out.size();
-  out.resize(at + 16);
+  out.resize(at + kTouchRecordBytes);
   StoreU64(out.data() + at, h.hi);
   StoreU64(out.data() + at + 8, h.lo);
 }
 
-inline std::vector<Hash128> ParseTouchRecords(ByteSpan blob) {
+inline StatusOr<std::vector<Hash128>> ParseTouchRecords(ByteSpan blob) {
+  if (blob.size() % kTouchRecordBytes != 0) {
+    return InvalidArgumentError("touch records: partial trailing record");
+  }
   std::vector<Hash128> out;
-  out.reserve(blob.size() / 16);
-  for (size_t at = 0; at + 16 <= blob.size(); at += 16) {
+  out.reserve(blob.size() / kTouchRecordBytes);
+  for (size_t at = 0; at < blob.size(); at += kTouchRecordBytes) {
     out.push_back(Hash128{LoadU64(blob.data() + at), LoadU64(blob.data() + at + 8)});
   }
   return out;
@@ -223,13 +236,18 @@ inline void AppendBulkRecord(Bytes& out, std::string_view key, ByteSpan value,
   }
 }
 
-inline std::vector<BulkRecord> ParseBulkRecords(ByteSpan blob) {
+inline StatusOr<std::vector<BulkRecord>> ParseBulkRecords(ByteSpan blob) {
   std::vector<BulkRecord> out;
   size_t at = 0;
-  while (at + 25 <= blob.size()) {
+  while (at < blob.size()) {
+    if (blob.size() - at < 25) {
+      return InvalidArgumentError("bulk records: truncated record header");
+    }
     const uint32_t klen = LoadU32(blob.data() + at);
     const uint32_t vlen = LoadU32(blob.data() + at + 4);
-    if (at + 25 + klen + vlen > blob.size()) break;
+    if (uint64_t{klen} + vlen > blob.size() - at - 25) {
+      return InvalidArgumentError("bulk records: key/value overrun the blob");
+    }
     BulkRecord r;
     r.version.tt_micros = LoadU64(blob.data() + at + 8);
     r.version.client_id = LoadU32(blob.data() + at + 16);

@@ -21,19 +21,49 @@ TEST(RepairRecords, RoundTrip) {
   }
   EXPECT_EQ(blob.size(), 10 * kRepairRecordBytes);
   auto out = ParseRepairRecords(blob);
-  ASSERT_EQ(out.size(), in.size());
+  ASSERT_TRUE(out.ok());
+  ASSERT_EQ(out->size(), in.size());
   for (size_t i = 0; i < in.size(); ++i) {
-    EXPECT_EQ(out[i].keyhash, in[i].keyhash);
-    EXPECT_EQ(out[i].version, in[i].version);
-    EXPECT_EQ(out[i].erased, in[i].erased);
+    EXPECT_EQ((*out)[i].keyhash, in[i].keyhash);
+    EXPECT_EQ((*out)[i].version, in[i].version);
+    EXPECT_EQ((*out)[i].erased, in[i].erased);
   }
 }
 
-TEST(RepairRecords, TruncatedTailIgnored) {
+// The record decoders are strict: a blob that is not an exact sequence of
+// whole records is rejected, never decoded as a shortened list.
+
+Bytes RepairBlob(int n) {
   Bytes blob;
-  AppendRepairRecord(blob, RepairRecord{HashKey("a"), {1, 1, 1}, false});
-  blob.resize(blob.size() + 7);  // garbage partial record
-  EXPECT_EQ(ParseRepairRecords(blob).size(), 1u);
+  for (int i = 0; i < n; ++i) {
+    AppendRepairRecord(blob, RepairRecord{HashKey("r" + std::to_string(i)),
+                                          {uint64_t(i + 1), 1, 1}, false});
+  }
+  return blob;
+}
+
+TEST(RepairRecords, EmptyAndExactMultiplesParse) {
+  for (int n : {0, 1, 2, 7}) {
+    auto out = ParseRepairRecords(RepairBlob(n));
+    ASSERT_TRUE(out.ok()) << n;
+    EXPECT_EQ(out->size(), size_t(n));
+  }
+}
+
+TEST(RepairRecords, RejectsTruncatedLastRecord) {
+  const Bytes whole = RepairBlob(3);
+  for (size_t cut = 1; cut < kRepairRecordBytes; ++cut) {
+    Bytes blob(whole.begin(), whole.end() - ptrdiff_t(cut));
+    EXPECT_FALSE(ParseRepairRecords(blob).ok()) << "cut " << cut;
+  }
+}
+
+TEST(RepairRecords, RejectsTrailingBytes) {
+  for (size_t extra = 1; extra <= 32; ++extra) {
+    Bytes blob = RepairBlob(2);
+    blob.resize(blob.size() + extra, std::byte{0xAB});
+    EXPECT_FALSE(ParseRepairRecords(blob).ok()) << "extra " << extra;
+  }
 }
 
 TEST(TouchRecords, RoundTrip) {
@@ -44,8 +74,37 @@ TEST(TouchRecords, RoundTrip) {
     AppendTouchRecord(blob, in.back());
   }
   auto out = ParseTouchRecords(blob);
-  ASSERT_EQ(out.size(), in.size());
-  for (size_t i = 0; i < in.size(); ++i) EXPECT_EQ(out[i], in[i]);
+  ASSERT_TRUE(out.ok());
+  ASSERT_EQ(out->size(), in.size());
+  for (size_t i = 0; i < in.size(); ++i) EXPECT_EQ((*out)[i], in[i]);
+}
+
+TEST(TouchRecords, EmptyParses) {
+  auto out = ParseTouchRecords(ByteSpan());
+  ASSERT_TRUE(out.ok());
+  EXPECT_TRUE(out->empty());
+}
+
+TEST(TouchRecords, RejectsPartialRecords) {
+  Bytes whole;
+  for (int i = 0; i < 3; ++i) AppendTouchRecord(whole, HashKey("t"));
+  for (size_t cut = 1; cut < kTouchRecordBytes; ++cut) {
+    Bytes blob(whole.begin(), whole.end() - ptrdiff_t(cut));
+    EXPECT_FALSE(ParseTouchRecords(blob).ok()) << "cut " << cut;
+  }
+  // Trailing bytes: a whole multiple of the record size is more records,
+  // anything else is a partial one.
+  for (size_t extra = 1; extra <= 32; ++extra) {
+    Bytes blob = whole;
+    blob.resize(blob.size() + extra, std::byte{0xAB});
+    auto out = ParseTouchRecords(blob);
+    if (extra % kTouchRecordBytes == 0) {
+      ASSERT_TRUE(out.ok()) << "extra " << extra;
+      EXPECT_EQ(out->size(), 3 + extra / kTouchRecordBytes);
+    } else {
+      EXPECT_FALSE(out.ok()) << "extra " << extra;
+    }
+  }
 }
 
 TEST(BulkRecords, RoundTripMixed) {
@@ -55,22 +114,66 @@ TEST(BulkRecords, RoundTripMixed) {
   AppendBulkRecord(blob, "erased-key", {}, VersionNumber{9, 9, 9}, true);
   AppendBulkRecord(blob, "", {}, VersionNumber{100, 0, 0}, true);  // summary
   auto out = ParseBulkRecords(blob);
-  ASSERT_EQ(out.size(), 3u);
-  EXPECT_EQ(out[0].key, "live-key");
-  EXPECT_EQ(ToString(out[0].value), "payload");
-  EXPECT_FALSE(out[0].erased);
-  EXPECT_TRUE(out[1].erased);
-  EXPECT_TRUE(out[2].key.empty());
-  EXPECT_EQ(out[2].version.tt_micros, 100u);
+  ASSERT_TRUE(out.ok());
+  ASSERT_EQ(out->size(), 3u);
+  EXPECT_EQ((*out)[0].key, "live-key");
+  EXPECT_EQ(ToString((*out)[0].value), "payload");
+  EXPECT_FALSE((*out)[0].erased);
+  EXPECT_TRUE((*out)[1].erased);
+  EXPECT_TRUE((*out)[2].key.empty());
+  EXPECT_EQ((*out)[2].version.tt_micros, 100u);
 }
 
 TEST(BulkRecords, EmptyAndHugeValues) {
+  auto none = ParseBulkRecords(ByteSpan());
+  ASSERT_TRUE(none.ok());
+  EXPECT_TRUE(none->empty());
   Bytes blob;
   Bytes big(100000, std::byte{0x77});
   AppendBulkRecord(blob, "big", big, VersionNumber{1, 1, 1});
   auto out = ParseBulkRecords(blob);
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].value.size(), big.size());
+  ASSERT_TRUE(out.ok());
+  ASSERT_EQ(out->size(), 1u);
+  EXPECT_EQ((*out)[0].value.size(), big.size());
+}
+
+Bytes BulkBlob() {
+  Bytes blob;
+  AppendBulkRecord(blob, "first", AsByteSpan("one"), VersionNumber{1, 1, 1});
+  AppendBulkRecord(blob, "second", AsByteSpan("two!"), VersionNumber{2, 2, 2});
+  return blob;
+}
+
+TEST(BulkRecords, RejectsTruncatedLastRecord) {
+  const Bytes whole = BulkBlob();
+  const size_t last = 25 + 6 + 4;  // header + "second" + "two!"
+  for (size_t cut = 1; cut < last; ++cut) {
+    Bytes blob(whole.begin(), whole.end() - ptrdiff_t(cut));
+    EXPECT_FALSE(ParseBulkRecords(blob).ok()) << "cut " << cut;
+  }
+}
+
+TEST(BulkRecords, RejectsLengthsThatOverrunTheBlob) {
+  // The second record's klen (offset 0 of its header), then its vlen
+  // (offset 4), each claim one byte more than the blob holds.
+  const size_t second = 25 + 5 + 3;
+  for (size_t field : {size_t(0), size_t(4)}) {
+    Bytes blob = BulkBlob();
+    const uint32_t len = LoadU32(blob.data() + second + field);
+    StoreU32(blob.data() + second + field, len + 1);
+    EXPECT_FALSE(ParseBulkRecords(blob).ok()) << "field " << field;
+    // A length near 2^32 must not wrap the bounds check.
+    StoreU32(blob.data() + second + field, 0xFFFFFFFFu);
+    EXPECT_FALSE(ParseBulkRecords(blob).ok()) << "field " << field;
+  }
+}
+
+TEST(BulkRecords, RejectsTrailingBytes) {
+  for (size_t extra = 1; extra <= 32; ++extra) {
+    Bytes blob = BulkBlob();
+    blob.resize(blob.size() + extra, std::byte{0xAB});
+    EXPECT_FALSE(ParseBulkRecords(blob).ok()) << "extra " << extra;
+  }
 }
 
 TEST(VersionCodec, PutGetRoundTrip) {

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
-# One-command gate: tier-1 build + tests, then a sanitizer build running the
-# fault-injection (chaos), elasticity (resharding), and self-healing
-# (health) suites.
+# One-command gate: tier-1 build + tests, an exact comparison of every
+# deterministic bench scalar (scripts/sim_identical.sh), then a sanitizer
+# build running the fault-injection (chaos), elasticity (resharding), and
+# self-healing (health) suites.
 #
 # Usage: scripts/check.sh [--fast]
-#   --fast  skip the sanitizer stage (tier-1 only)
+#   --fast  skip the output-identity and sanitizer stages
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -90,9 +91,16 @@ echo "== perf gate: domain-outage survival scalars vs baseline =="
 scripts/perf_gate.sh 'domain_outage:^(availability_dip_frac|time_to_quorum_ms)$'
 
 if [[ "$FAST" == "1" ]]; then
-  echo "== done (fast mode: sanitizer stage skipped) =="
+  echo "== done (fast mode: output-identity and sanitizer stages skipped) =="
   exit 0
 fi
+
+echo "== output identity: every deterministic bench scalar vs baselines =="
+# Exact comparison of every simulated-time scalar in every BENCH_*.json
+# (only the explicit wall-clock list is skipped). The perf_gate.sh stages
+# above allow a 2x band, inside which e.g. doctor.recoveries 1 -> 0 would
+# pass; a change that moves a simulated number must refresh its baseline.
+scripts/sim_identical.sh
 
 echo "== sanitizer (ASan/UBSan): build =="
 cmake -B build-asan -S . -DCM_SANITIZE=ON >/dev/null

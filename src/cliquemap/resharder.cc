@@ -346,7 +346,7 @@ sim::Task<Status> Resharder::SendBatch(net::HostId from, net::HostId to,
   stats_.bytes_streamed += static_cast<int64_t>(batch.size());
   rpc::WireWriter w;
   w.PutBytes(proto::kTagRecords, batch);
-  const Bytes request = std::move(w).Take();
+  const BufferView request = std::move(w).Take();
   Status last = UnavailableError("no attempt");
   for (int attempt = 0; attempt <= options_.max_batch_retries; ++attempt) {
     if (attempt > 0) {

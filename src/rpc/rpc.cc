@@ -42,7 +42,8 @@ RpcChannel::RpcChannel(RpcNetwork& network, net::HostId client_host,
       server_host_(server_host),
       costs_(costs) {}
 
-sim::Task<StatusOr<Bytes>> RpcChannel::Call(std::string method, Bytes request,
+sim::Task<StatusOr<Bytes>> RpcChannel::Call(std::string method,
+                                            BufferView request,
                                             sim::Duration deadline,
                                             trace::SpanId parent) {
   net::Fabric& fabric = network_.fabric();

@@ -18,6 +18,7 @@
 #include <string>
 #include <unordered_map>
 
+#include "common/buffer.h"
 #include "common/bytes.h"
 #include "common/status.h"
 #include "net/fabric.h"
@@ -140,8 +141,10 @@ class RpcChannel {
   // Issues a call: charges framework CPU on both hosts, transfers request
   // and response over the fabric, runs the handler coroutine server-side.
   // A live `parent` span nests an "rpc" span (and the fabric spans below it)
-  // under the caller's trace tree.
-  sim::Task<StatusOr<Bytes>> Call(std::string method, Bytes request,
+  // under the caller's trace tree. The request is a shared view: a fan-out
+  // hands every replica the same bytes, and an rvalue `Bytes` converts by
+  // adoption, without a copy.
+  sim::Task<StatusOr<Bytes>> Call(std::string method, BufferView request,
                                   sim::Duration deadline,
                                   trace::SpanId parent = trace::kNoSpan);
 

@@ -26,13 +26,11 @@ WireWriter& WireWriter::PutU64(uint16_t tag, uint64_t v) {
 
 WireWriter& WireWriter::PutBytes(uint16_t tag, ByteSpan data) {
   size_t at = out_.size();
-  out_.resize(at + kHeader + 4 + data.size());
+  out_.resize(at + kHeader + 4);
   StoreU16(out_.data() + at, tag);
   out_[at + 2] = static_cast<std::byte>(WireType::kBytes);
   StoreU32(out_.data() + at + kHeader, static_cast<uint32_t>(data.size()));
-  if (!data.empty()) {
-    std::memcpy(out_.data() + at + kHeader + 4, data.data(), data.size());
-  }
+  out_.insert(out_.end(), data.begin(), data.end());
   return *this;
 }
 

@@ -129,6 +129,7 @@ class Cell {
   rma::HwRmaTransport* hwrma();      // null unless a hardware transport
   truetime::TrueTime& truetime() { return *truetime_; }
   ConfigService& config_service() { return *config_service_; }
+  net::HostId config_host() const { return config_host_; }
   Backend& backend(uint32_t shard) { return *backends_[shard]; }
   Backend& spare(int i) { return *spares_[i]; }
   // Live shard count — tracks elastic resizes, unlike options().num_shards

@@ -286,6 +286,9 @@ class Client {
   net::Fabric& fabric() { return fabric_; }
 
  private:
+  // RPC deadline of a config-service refresh outside any op's deadline.
+  static constexpr sim::Duration kConfigRefreshTimeout = sim::Milliseconds(50);
+
   // Per-shard RMA connection state (established via the Info handshake).
   struct Conn {
     bool connected = false;
@@ -343,8 +346,14 @@ class Client {
     uint32_t tenant = 0;
   };
   OpContext MakeContext(const GetOptions& opts, trace::SpanId span) const;
+  // What a config refresh inside a GET may spend: the op's remaining
+  // deadline, at most kConfigRefreshTimeout.
+  sim::Duration RefreshBudget(const OpContext& ctx) const;
 
-  sim::Task<Status> RefreshConfig();
+  // Fetches the cell view; a config service that has not answered within
+  // `deadline` fails the refresh.
+  sim::Task<Status> RefreshConfig(
+      sim::Duration deadline = kConfigRefreshTimeout);
   // Whether `shard` has a live handshake under the current view.
   bool IsConnected(uint32_t shard) const;
   sim::Task<Status> EnsureConnected(uint32_t shard);

@@ -319,6 +319,36 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(info.param.buckets);
     });
 
+TEST(CellDeadline, GetReturnsWithinDeadlineWhenConfigServiceUnreachable) {
+  // A replica failure sends Get into a config refresh. With every message
+  // to and from the config service lost, that refresh can only time out:
+  // it must not outlast the op's own deadline.
+  sim::Simulator sim;
+  CellOptions o = SmallCell(ReplicationMode::kR1, TransportKind::kSoftNic);
+  o.num_shards = 1;
+  Cell cell(sim, std::move(o));
+  cell.Start();
+  Client* client = cell.AddClient();
+  ASSERT_TRUE(RunOp(sim, client->Connect()).ok());
+  ASSERT_TRUE(RunOp(sim, client->Set("k", ToBytes("v"))).ok());
+
+  auto plan = std::make_shared<net::FaultPlan>(1);
+  net::LinkFaultRates lost;
+  lost.drop = 1.0;
+  plan->SetHostRates(cell.config_host(), lost);
+  cell.fabric().InstallFaults(plan);
+  cell.CrashShard(0);
+
+  GetOptions opts;
+  opts.deadline = sim::Milliseconds(10);
+  const int64_t refreshes_before = client->stats().config_refreshes;
+  auto got = RunOp(sim, client->Get("k", opts));
+  EXPECT_FALSE(got.ok());
+  EXPECT_GT(client->stats().config_refreshes, refreshes_before);
+  ASSERT_EQ(client->stats().get_latency_ns.count(), 1);
+  EXPECT_LE(client->stats().get_latency_ns.max(), opts.deadline);
+}
+
 TEST(CellResharding, StaleGenerationBouncesClientIntoRefresh) {
   // A client whose cell view lags a reconfiguration generation gets its
   // mutations bounced by the generation fence, refreshes, and succeeds —

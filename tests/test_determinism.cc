@@ -515,62 +515,63 @@ TEST(DeterminismAB, ReshardSeedMatchesSeedScheduler) {
 }
 
 // --- Read-path pins, recorded before the client's read steps were merged
-// into shared helpers. Any refactor of the read path must leave them
-// untouched. ---------------------------------------------------------------
+// into shared helpers, and again once Get's config refresh was bounded by
+// the op's remaining deadline. Any refactor of the read path must leave
+// them untouched. -----------------------------------------------------------
 
 ReadPathCapture WantReadPathHwRma() {
   ReadPathCapture want;
-  want.base.fault_fingerprint = 0x47c27f07c29a0aa3ull;
-  want.base.fault_trace_events = 185;
-  want.base.span_fingerprint = 0xb5b12871dad6912cull;
-  want.base.spans_completed = 14466;
-  want.base.sim_events = 28145;
-  want.base.final_now = 1097148991;
+  want.base.fault_fingerprint = 0x7c90a8bc977c8832ull;
+  want.base.fault_trace_events = 207;
+  want.base.span_fingerprint = 0x4de219717384c2c6ull;
+  want.base.spans_completed = 14199;
+  want.base.sim_events = 27718;
+  want.base.final_now = 400000000;
   want.base.gets = 946;
-  want.base.hits = 688;
+  want.base.hits = 679;
   want.base.sets = 133;
-  want.base.retries = 60;
-  want.base.torn_reads = 5;
-  want.base.rma_reads = 835;
+  want.base.retries = 41;
+  want.base.torn_reads = 11;
+  want.base.rma_reads = 799;
   want.base.rma_scars = 0;
-  want.base.sets_applied = 409;
-  want.base.repairs_issued = 21;
+  want.base.sets_applied = 410;
+  want.base.repairs_issued = 20;
   want.multigets = 154;
-  want.batch_slowpath_keys = 22;
-  want.loccache_speculative_reads = 171;
-  want.hedged_reads = 6;
-  want.slow_ejections = 155;
-  want.degraded_attempts = 8;
+  want.batch_slowpath_keys = 23;
+  want.loccache_speculative_reads = 166;
+  want.hedged_reads = 5;
+  want.slow_ejections = 112;
+  want.degraded_attempts = 5;
   want.window_errors = 42;
-  want.op_timeouts = 23;
+  want.op_timeouts = 30;
   return want;
 }
 
 ReadPathCapture WantReadPathSoftNic() {
   ReadPathCapture want;
-  want.base.fault_fingerprint = 0x9902a22cd333d666ull;
-  want.base.fault_trace_events = 186;
-  want.base.span_fingerprint = 0xd03dd04f259f014full;
-  want.base.spans_completed = 10810;
-  want.base.sim_events = 23132;
+  want.base.fault_fingerprint = 0x76751ee8f23ee08cull;
+  want.base.fault_trace_events = 184;
+  want.base.span_fingerprint = 0xd1f56e71835c15cdull;
+  want.base.spans_completed = 12099;
+  want.base.sim_events = 25217;
   want.base.final_now = 400000000;
   want.base.gets = 887;
   want.base.hits = 569;
   want.base.sets = 137;
-  want.base.retries = 20;
-  want.base.torn_reads = 4;
-  want.base.rma_reads = 170;
-  want.base.rma_scars = 406;
-  want.base.sets_applied = 419;
-  want.base.repairs_issued = 18;
+  want.base.retries = 96;
+  want.base.torn_reads = 2;
+  want.base.rma_reads = 187;
+  want.base.rma_scars = 577;
+  want.base.sets_applied = 418;
+  want.base.repairs_issued = 17;
   want.multigets = 142;
-  want.batch_slowpath_keys = 11;
-  want.loccache_speculative_reads = 149;
+  want.batch_slowpath_keys = 18;
+  want.loccache_speculative_reads = 134;
   want.hedged_reads = 1;
-  want.slow_ejections = 118;
-  want.degraded_attempts = 3;
-  want.window_errors = 36;
-  want.op_timeouts = 7;
+  want.slow_ejections = 83;
+  want.degraded_attempts = 14;
+  want.window_errors = 44;
+  want.op_timeouts = 8;
   return want;
 }
 

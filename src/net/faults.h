@@ -17,8 +17,8 @@
 // diagnosed from its log and a re-run can be checked for identity.
 //
 // Where each fault surfaces (the "never silent success" rule):
-//  * RMA command or completion lost/corrupted -> the op times out after the
-//    transport's op_timeout (NIC-level CRC drops corrupted frames).
+//  * RMA command or completion lost/corrupted -> the op times out after
+//    rma::kOpTimeout (NIC-level CRC drops corrupted frames).
 //  * RMA read/SCAR *payload* corrupted -> a bit flips in the delivered copy;
 //    only the client's checksum/key/version validation stands between that
 //    and a wrong-value GET.

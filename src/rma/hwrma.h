@@ -11,6 +11,7 @@
 #ifndef CM_RMA_HWRMA_H_
 #define CM_RMA_HWRMA_H_
 
+#include <coroutine>
 #include <memory>
 #include <vector>
 
@@ -25,12 +26,6 @@ struct HwRmaConfig {
   // PCIe read of the target memory: DMA setup + payload at pcie_gbps.
   sim::Duration pcie_base_latency = sim::Nanoseconds(600);
   double pcie_gbps = 128.0;
-  int64_t command_bytes = 64;
-  int64_t response_header_bytes = 32;
-  // Per-entry descriptor bytes for vectored reads (hardware scatter list).
-  int64_t vector_entry_bytes = 16;
-  // Completion timeout for commands/completions lost under fault injection.
-  sim::Duration op_timeout = sim::Milliseconds(1);
 
   static HwRmaConfig OneRma() { return HwRmaConfig{}; }
   static HwRmaConfig ClassicRdma() {
@@ -42,48 +37,32 @@ struct HwRmaConfig {
   }
 };
 
-class HwRmaTransport : public RmaTransport {
+class HwRmaTransport : public OneSidedTransport<HwRmaTransport> {
  public:
+  static constexpr bool kScar = false;
+
   HwRmaTransport(net::Fabric& fabric, RmaNetwork& rma_network,
                  const HwRmaConfig& config = HwRmaConfig::OneRma());
-
-  bool SupportsScar() const override { return false; }
-
-  sim::Task<StatusOr<BufferView>> Read(
-      net::HostId initiator, net::HostId target, RegionId region,
-      uint64_t offset, uint32_t length,
-      trace::SpanId parent = trace::kNoSpan) override;
-
-  sim::Task<StatusOr<ScarResult>> ScanAndRead(
-      net::HostId, net::HostId, RegionId, uint64_t, uint32_t, uint64_t,
-      uint64_t, trace::SpanId parent = trace::kNoSpan) override;
-
-  sim::Task<StatusOr<std::vector<StatusOr<BufferView>>>> ReadV(
-      net::HostId initiator, net::HostId target,
-      std::vector<ReadVEntry> entries,
-      trace::SpanId parent = trace::kNoSpan) override;
-
-  // Hardware offers no SCAR, vectored or not.
-  sim::Task<StatusOr<std::vector<StatusOr<ScarResult>>>> ScanAndReadV(
-      net::HostId, net::HostId, std::vector<ScarVEntry>,
-      trace::SpanId parent = trace::kNoSpan) override;
-
-  const RmaStats& stats() const override { return stats_; }
 
   // Hardware-emitted fabric+PCIe latency per op (Fig 16's heatmap source).
   const Histogram& hw_timestamps() const { return hw_timestamps_; }
   void ResetHwTimestamps() { hw_timestamps_.Reset(); }
 
  private:
+  friend class OneSidedTransport<HwRmaTransport>;
+
+  // Cost model: a fixed pipeline delay on each side, a PCIe DMA that queues
+  // at the target, and a hardware timestamp per completed op.
+  sim::Simulator::WaitAwaiter Issue(net::HostId initiator);
+  sim::Simulator::WaitAwaiter Serve(net::HostId target,
+                                    const ServeWork& work);
+  std::suspend_never Complete(net::HostId initiator, sim::Time start);
+
   // Per-target-host PCIe serialization resource.
   net::NicSide& pcie(net::HostId host);
 
-  net::Fabric& fabric_;
-  RmaNetwork& rma_network_;
   HwRmaConfig config_;
-  RmaStats stats_;
   Histogram hw_timestamps_;
-  metrics::ExportGroup exports_;
   std::vector<std::unique_ptr<net::NicSide>> pcie_;
 };
 

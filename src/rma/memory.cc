@@ -24,22 +24,6 @@ bool MemoryRegistry::IsLive(RegionId id) const {
   return it != windows_.end() && !it->second.revoked;
 }
 
-StatusOr<Bytes> MemoryRegistry::ResolveCopy(RegionId id, uint64_t offset,
-                                            uint32_t length) const {
-  auto it = windows_.find(id);
-  if (it == windows_.end() || it->second.revoked) {
-    return PermissionDeniedError("rma window revoked or unknown");
-  }
-  const Window& w = it->second;
-  if (offset + length > w.size) {
-    return InvalidArgumentError("rma read out of window bounds");
-  }
-  Bytes out(length);
-  Status s = w.source->ReadAt(offset, length, out.data());
-  if (!s.ok()) return s;
-  return out;
-}
-
 StatusOr<BufferView> MemoryRegistry::ResolveView(RegionId id, uint64_t offset,
                                                  uint32_t length) const {
   auto it = windows_.find(id);

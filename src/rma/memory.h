@@ -84,16 +84,12 @@ class MemoryRegistry {
 
   bool IsLive(RegionId id) const;
 
-  // Copies out the bytes a remote read of this window observes *now*.
+  // Materializes the bytes a remote read of this window observes *now* into
+  // a shareable slab-backed view: the one copy out of backend memory that
+  // the rest of the delivery path (fabric hops, fault COW, client decode
+  // slices) shares without copying. Counted in BufferStats::bytes_copied.
   // Fails with PERMISSION_DENIED for unknown/revoked windows and
   // INVALID_ARGUMENT for out-of-bounds.
-  StatusOr<Bytes> ResolveCopy(RegionId id, uint64_t offset,
-                              uint32_t length) const;
-
-  // Same semantics, but materializes into a shareable slab-backed view: the
-  // one copy out of backend memory that the rest of the delivery path
-  // (fabric hops, fault COW, client decode slices) shares without copying.
-  // The materialization is counted in BufferStats::bytes_copied.
   StatusOr<BufferView> ResolveView(RegionId id, uint64_t offset,
                                    uint32_t length) const;
 

@@ -97,7 +97,7 @@ struct RmaStats {
   int64_t vector_entries = 0;
   int64_t failed_ops = 0;
   // Fault-injection visibility: ops whose command/completion was lost and
-  // completed only by op_timeout, and payloads delivered with a bit flip
+  // completed only by kOpTimeout, and payloads delivered with a bit flip
   // (which only client-side validation can catch).
   int64_t op_timeouts = 0;
   int64_t corrupt_deliveries = 0;
@@ -146,6 +146,78 @@ class RmaTransport {
       trace::SpanId parent = trace::kNoSpan) = 0;
 
   virtual const RmaStats& stats() const = 0;
+};
+
+// Wire sizes and completion timeout, the same on every transport.
+inline constexpr int64_t kCommandBytes = 64;
+inline constexpr int64_t kResponseHeaderBytes = 32;
+// Each entry of a vectored op after the first adds one descriptor to the
+// command.
+inline constexpr int64_t kVectorEntryBytes = 16;
+// A command or completion lost in the fabric fails its op this long after
+// the loss.
+inline constexpr sim::Duration kOpTimeout = sim::Milliseconds(1);
+
+// What a target NIC does to serve one one-sided op; a cost model prices it.
+struct ServeWork {
+  bool scar = false;       // scans buckets rather than reading slices
+  int64_t entries = 0;
+  int64_t scan_units = 0;  // 64-byte bucket slots to scan, all entries
+  int64_t read_bytes = 0;  // slice bytes requested, all entries
+};
+
+// The one-sided ops, written once (one_sided.cc) for every transport. Each
+// op runs the same sequence: issue on the initiator, send the command,
+// serve on the target, resolve against registered memory (or the SCAR
+// executor), send the response, complete on the initiator. A transport
+// differs only in cost and capability, so `Model` (the transport class)
+// supplies `kScar` and three awaitable cost steps:
+//   Issue(initiator)            initiator work before the command
+//   Serve(target, ServeWork)    target work before the resolve
+//   Complete(initiator, start)  initiator work after the response
+template <typename Model>
+class OneSidedTransport : public RmaTransport {
+ public:
+  bool SupportsScar() const override { return Model::kScar; }
+
+  sim::Task<StatusOr<BufferView>> Read(
+      net::HostId initiator, net::HostId target, RegionId region,
+      uint64_t offset, uint32_t length,
+      trace::SpanId parent = trace::kNoSpan) override;
+  sim::Task<StatusOr<ScarResult>> ScanAndRead(
+      net::HostId initiator, net::HostId target, RegionId index_region,
+      uint64_t bucket_offset, uint32_t bucket_len, uint64_t hash_hi,
+      uint64_t hash_lo, trace::SpanId parent = trace::kNoSpan) override;
+  sim::Task<StatusOr<std::vector<StatusOr<BufferView>>>> ReadV(
+      net::HostId initiator, net::HostId target,
+      std::vector<ReadVEntry> entries,
+      trace::SpanId parent = trace::kNoSpan) override;
+  sim::Task<StatusOr<std::vector<StatusOr<ScarResult>>>> ScanAndReadV(
+      net::HostId initiator, net::HostId target,
+      std::vector<ScarVEntry> entries,
+      trace::SpanId parent = trace::kNoSpan) override;
+
+  const RmaStats& stats() const override { return stats_; }
+
+ protected:
+  // Exports the counters every transport keeps, labelled `transport=name`.
+  OneSidedTransport(net::Fabric& fabric, RmaNetwork& rma_network,
+                    const char* name);
+
+  // A lost command or completion: nothing comes back, so the op fails when
+  // its completion timer fires.
+  sim::Simulator::WaitAwaiter TimeOut();
+
+  net::Fabric& fabric_;
+  RmaNetwork& rma_network_;
+  RmaStats stats_;
+  metrics::ExportGroup exports_;
+
+ private:
+  template <typename Op>
+  sim::Task<StatusOr<typename Op::Result>> Run(net::HostId initiator,
+                                                net::HostId target, Op op,
+                                                trace::SpanId parent);
 };
 
 }  // namespace cm::rma

@@ -112,15 +112,15 @@ class Simulator {
   int64_t posts_in_past() const { return posts_in_past_; }
 
   // Awaitable: suspends the caller until absolute time t.
-  auto WaitUntil(Time t) {
-    struct Awaiter {
-      Simulator& sim;
-      Time t;
-      bool await_ready() const noexcept { return false; }
-      void await_suspend(std::coroutine_handle<> h) { sim.ScheduleAt(t, h); }
-      void await_resume() const noexcept {}
-    };
-    return Awaiter{*this, t < now_ ? now_ : t};
+  struct WaitAwaiter {
+    Simulator& sim;
+    Time t;
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h) { sim.ScheduleAt(t, h); }
+    void await_resume() const noexcept {}
+  };
+  WaitAwaiter WaitUntil(Time t) {
+    return WaitAwaiter{*this, t < now_ ? now_ : t};
   }
 
   // Awaitable: suspends the caller for duration d (d == 0 still yields

@@ -15,6 +15,7 @@
 #ifndef CM_CLIQUEMAP_CLIENT_H_
 #define CM_CLIQUEMAP_CLIENT_H_
 
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -288,6 +289,10 @@ class Client {
  private:
   // RPC deadline of a config-service refresh outside any op's deadline.
   static constexpr sim::Duration kConfigRefreshTimeout = sim::Milliseconds(50);
+  // RPC deadline of an Info handshake outside any op's deadline.
+  static constexpr sim::Duration kInfoTimeout = sim::Milliseconds(20);
+  static constexpr sim::Time kNoDeadline =
+      std::numeric_limits<sim::Time>::max();
 
   // Per-shard RMA connection state (established via the Info handshake).
   struct Conn {
@@ -346,9 +351,9 @@ class Client {
     uint32_t tenant = 0;
   };
   OpContext MakeContext(const GetOptions& opts, trace::SpanId span) const;
-  // What a config refresh inside a GET may spend: the op's remaining
-  // deadline, at most kConfigRefreshTimeout.
-  sim::Duration RefreshBudget(const OpContext& ctx) const;
+  // What an RPC inside an op may spend: the time left before `deadline_at`,
+  // at most `cap`.
+  sim::Duration Budget(sim::Time deadline_at, sim::Duration cap) const;
 
   // Fetches the cell view; a config service that has not answered within
   // `deadline` fails the refresh.
@@ -356,7 +361,10 @@ class Client {
       sim::Duration deadline = kConfigRefreshTimeout);
   // Whether `shard` has a live handshake under the current view.
   bool IsConnected(uint32_t shard) const;
-  sim::Task<Status> EnsureConnected(uint32_t shard);
+  // The Info handshake with `shard`, and the config refresh it may need,
+  // end by the op's `deadline_at`.
+  sim::Task<Status> EnsureConnected(uint32_t shard,
+                                    sim::Time deadline_at = kNoDeadline);
   void NoteReplicaFailure(uint32_t shard);
 
   // Read steps shared by the single-key GET and the batched MultiGet

@@ -515,9 +515,9 @@ TEST(DeterminismAB, ReshardSeedMatchesSeedScheduler) {
 }
 
 // --- Read-path pins, recorded before the client's read steps were merged
-// into shared helpers, and again once Get's config refresh was bounded by
-// the op's remaining deadline. Any refactor of the read path must leave
-// them untouched. -----------------------------------------------------------
+// into shared helpers, again once Get's config refresh was bounded by the
+// op's remaining deadline, and (SCAR cell) once the connect handshake was
+// too. Any refactor of the read path must leave them untouched. ------------
 
 ReadPathCapture WantReadPathHwRma() {
   ReadPathCapture want;
@@ -549,28 +549,28 @@ ReadPathCapture WantReadPathHwRma() {
 
 ReadPathCapture WantReadPathSoftNic() {
   ReadPathCapture want;
-  want.base.fault_fingerprint = 0x76751ee8f23ee08cull;
-  want.base.fault_trace_events = 184;
-  want.base.span_fingerprint = 0xd1f56e71835c15cdull;
-  want.base.spans_completed = 12099;
-  want.base.sim_events = 25217;
+  want.base.fault_fingerprint = 0xc29b2a7fd245a91cull;
+  want.base.fault_trace_events = 192;
+  want.base.span_fingerprint = 0x60e66e6874980e1cull;
+  want.base.spans_completed = 10970;
+  want.base.sim_events = 23264;
   want.base.final_now = 400000000;
   want.base.gets = 887;
-  want.base.hits = 569;
+  want.base.hits = 575;
   want.base.sets = 137;
-  want.base.retries = 96;
-  want.base.torn_reads = 2;
-  want.base.rma_reads = 187;
-  want.base.rma_scars = 577;
-  want.base.sets_applied = 418;
+  want.base.retries = 24;
+  want.base.torn_reads = 8;
+  want.base.rma_reads = 172;
+  want.base.rma_scars = 444;
+  want.base.sets_applied = 419;
   want.base.repairs_issued = 17;
   want.multigets = 142;
-  want.batch_slowpath_keys = 18;
-  want.loccache_speculative_reads = 134;
+  want.batch_slowpath_keys = 17;
+  want.loccache_speculative_reads = 152;
   want.hedged_reads = 1;
-  want.slow_ejections = 83;
-  want.degraded_attempts = 14;
-  want.window_errors = 44;
+  want.slow_ejections = 77;
+  want.degraded_attempts = 6;
+  want.window_errors = 49;
   want.op_timeouts = 8;
   return want;
 }
